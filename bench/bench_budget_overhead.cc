@@ -28,38 +28,32 @@ Workload BenchWorkload(uint64_t seed) {
 
 void BM_CoreCoverUngoverned(benchmark::State& state) {
   const Workload w = BenchWorkload(static_cast<uint64_t>(state.range(0)));
-  CoreCoverOptions options;
-  options.num_threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CoreCoverStar(w.query, w.views, options));
+    benchmark::DoNotOptimize(CoreCoverStar(w.query, w.views));
   }
 }
 BENCHMARK(BM_CoreCoverUngoverned)->Arg(1)->Arg(5);
 
 void BM_CoreCoverGovernedGenerousBudget(benchmark::State& state) {
   const Workload w = BenchWorkload(static_cast<uint64_t>(state.range(0)));
-  CoreCoverOptions options;
-  options.num_threads = 1;
   ResourceLimits limits;
   limits.work_limit = uint64_t{1} << 40;  // present, never trips
   for (auto _ : state) {
     ResourceGovernor governor(limits);
     GovernorScope scope(&governor);
-    benchmark::DoNotOptimize(CoreCoverStar(w.query, w.views, options));
+    benchmark::DoNotOptimize(CoreCoverStar(w.query, w.views));
   }
 }
 BENCHMARK(BM_CoreCoverGovernedGenerousBudget)->Arg(1)->Arg(5);
 
 void BM_CoreCoverGovernedDeadline(benchmark::State& state) {
   const Workload w = BenchWorkload(static_cast<uint64_t>(state.range(0)));
-  CoreCoverOptions options;
-  options.num_threads = 1;
   ResourceLimits limits;
   limits.deadline_ms = 60'000;  // present, never expires
   for (auto _ : state) {
     ResourceGovernor governor(limits);
     GovernorScope scope(&governor);
-    benchmark::DoNotOptimize(CoreCoverStar(w.query, w.views, options));
+    benchmark::DoNotOptimize(CoreCoverStar(w.query, w.views));
   }
 }
 BENCHMARK(BM_CoreCoverGovernedDeadline)->Arg(1)->Arg(5);

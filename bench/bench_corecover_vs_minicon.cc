@@ -46,19 +46,15 @@ ViewSet Example42Views(int k) {
 
 void BM_CoreCover_Example42(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
-  const size_t num_threads = static_cast<size_t>(state.range(1));
   const ConjunctiveQuery q = Example42Query(k);
   const ViewSet views = Example42Views(k);
-  CoreCoverOptions options;
-  options.num_threads = num_threads;
   size_t best = 0;
   for (auto _ : state) {
-    const auto result = CoreCover(q, views, options);
+    const auto result = CoreCover(q, views);
     benchmark::DoNotOptimize(result.rewritings.size());
     best = result.stats.minimum_cover_size;
   }
   state.counters["k"] = k;
-  state.counters["threads"] = static_cast<double>(num_threads);
   state.counters["smallest_rewriting_subgoals"] = static_cast<double>(best);
 }
 
@@ -82,11 +78,8 @@ void BM_MiniCon_Example42(benchmark::State& state) {
   state.counters["mcds"] = static_cast<double>(mcds);
 }
 
-// Args are {k, num_threads}: the k sweep runs serially, the threads sweep at
-// the largest k measures the parallel pipeline against the same baseline.
 BENCHMARK(BM_CoreCover_Example42)
-    ->ArgsProduct({{2, 3, 4, 6, 8}, {1}})
-    ->ArgsProduct({{8}, {2, 4, 8}})
+    ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MiniCon_Example42)
     ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)

@@ -21,25 +21,21 @@ namespace {
 
 void RunFigure6(benchmark::State& state, size_t nondistinguished) {
   const size_t num_views = static_cast<size_t>(state.range(0));
-  const size_t num_threads = static_cast<size_t>(state.range(1));
   const auto& batch = bench_util::WorkloadBatch(QueryShape::kStar, num_views,
                                                 nondistinguished);
-  CoreCoverOptions options;
-  options.num_threads = num_threads;
   size_t gmrs = 0;
   size_t with_rewriting = 0;
   for (auto _ : state) {
     gmrs = 0;
     with_rewriting = 0;
     for (const Workload& w : batch) {
-      const auto result = CoreCover(w.query, w.views, options);
+      const auto result = CoreCover(w.query, w.views);
       benchmark::DoNotOptimize(result.rewritings.size());
       gmrs += result.rewritings.size();
       with_rewriting += result.has_rewriting ? 1 : 0;
     }
   }
   state.counters["views"] = static_cast<double>(num_views);
-  state.counters["threads"] = static_cast<double>(num_threads);
   state.counters["avg_gmrs"] =
       static_cast<double>(gmrs) / static_cast<double>(batch.size());
   state.counters["queries_with_rewriting"] =
@@ -57,16 +53,12 @@ void BM_Fig6b_Star_OneNondistinguished(benchmark::State& state) {
   RunFigure6(state, 1);
 }
 
-// Args are {num_views, num_threads}. The views sweep (the paper's x-axis)
-// runs serially; the threads sweep at the largest configuration measures the
-// parallel-pipeline speedup.
+// The arg is num_views (the paper's x-axis).
 BENCHMARK(BM_Fig6a_Star_AllDistinguished)
-    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}, {1}})
-    ->ArgsProduct({{1000}, {2, 4, 8}})
+    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig6b_Star_OneNondistinguished)
-    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}, {1}})
-    ->ArgsProduct({{1000}, {2, 4, 8}})
+    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

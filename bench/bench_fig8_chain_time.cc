@@ -18,22 +18,18 @@ namespace {
 
 void RunFigure8(benchmark::State& state, size_t nondistinguished) {
   const size_t num_views = static_cast<size_t>(state.range(0));
-  const size_t num_threads = static_cast<size_t>(state.range(1));
   const auto& batch = bench_util::WorkloadBatch(QueryShape::kChain, num_views,
                                                 nondistinguished);
-  CoreCoverOptions options;
-  options.num_threads = num_threads;
   size_t gmrs = 0;
   for (auto _ : state) {
     gmrs = 0;
     for (const Workload& w : batch) {
-      const auto result = CoreCover(w.query, w.views, options);
+      const auto result = CoreCover(w.query, w.views);
       benchmark::DoNotOptimize(result.rewritings.size());
       gmrs += result.rewritings.size();
     }
   }
   state.counters["views"] = static_cast<double>(num_views);
-  state.counters["threads"] = static_cast<double>(num_threads);
   state.counters["avg_gmrs"] =
       static_cast<double>(gmrs) / static_cast<double>(batch.size());
   state.counters["sec_per_query"] = benchmark::Counter(
@@ -49,14 +45,12 @@ void BM_Fig8b_Chain_OneNondistinguished(benchmark::State& state) {
   RunFigure8(state, 1);
 }
 
-// Args are {num_views, num_threads}; see bench_fig6_star_time.cc.
+// The arg is num_views (the paper's x-axis).
 BENCHMARK(BM_Fig8a_Chain_AllDistinguished)
-    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}, {1}})
-    ->ArgsProduct({{1000}, {2, 4, 8}})
+    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Fig8b_Chain_OneNondistinguished)
-    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}, {1}})
-    ->ArgsProduct({{1000}, {2, 4, 8}})
+    ->ArgsProduct({{50, 100, 200, 400, 600, 800, 1000}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

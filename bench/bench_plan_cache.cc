@@ -158,14 +158,12 @@ BENCHMARK(BM_PlanChain_Cold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlanChain_Warm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Batched planning: one PlanMany call over every variant of one workload's
-// query (heavy in-flight deduplication), at 1..8 worker threads. The first
-// iteration pays the cold leader runs; later iterations are all hits, so
-// this measures the batched steady state.
+// query (heavy in-flight deduplication), on one pool thread per core. The
+// first iteration pays the cold leader runs; later iterations are all hits,
+// so this measures the batched steady state.
 void BM_PlanManyBatch(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
   const CacheWorkload& w = SharedWorkload(QueryShape::kStar);
-  ViewPlanner::Options options = BenchOptions(/*enable_cache=*/true);
-  options.core_cover.num_threads = threads;
+  const ViewPlanner::Options options = BenchOptions(/*enable_cache=*/true);
   std::vector<ConjunctiveQuery> batch;
   for (size_t i = 0; i < w.base.size(); ++i) {
     for (const ConjunctiveQuery& q : w.variants[i]) batch.push_back(q);
@@ -178,7 +176,6 @@ void BM_PlanManyBatch(benchmark::State& state) {
     const auto results = planner.PlanMany(batch, CostModel::kM2);
     benchmark::DoNotOptimize(results.size());
   }
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["batch"] = static_cast<double>(batch.size());
   state.counters["hit_rate"] = planner.cache_counters().HitRate();
   state.counters["sec_per_query"] = benchmark::Counter(
@@ -187,8 +184,7 @@ void BM_PlanManyBatch(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 
-BENCHMARK(BM_PlanManyBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanManyBatch)->Unit(benchmark::kMillisecond);
 
 // After the benchmarks: one sample EXPLAIN of a warm-cache plan plus the
 // process-wide metrics snapshot, so a bench run doubles as an observability

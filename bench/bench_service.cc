@@ -65,7 +65,6 @@ const BenchSetup& Setup() {
 ViewPlanner::Options ColdPlannerOptions() {
   ViewPlanner::Options options;
   options.enable_cache = false;  // every request pays the full plan
-  options.core_cover.num_threads = 1;
   return options;
 }
 
@@ -153,9 +152,7 @@ void BM_ServiceThroughput(benchmark::State& state) {
     batch.push_back(RenameVariablesApart(setup.workload.query,
                                          "b" + std::to_string(i), &renaming));
   }
-  ViewPlanner::Options planner_options;
-  planner_options.core_cover.num_threads = 1;
-  ViewPlanner planner(setup.workload.views, setup.view_db, planner_options);
+  ViewPlanner planner(setup.workload.views, setup.view_db);
   (void)planner.Plan(setup.workload.query, CostModel::kM2);
 
   PlanningService::Options options;

@@ -55,10 +55,7 @@ int Run(size_t requests_per_cell, size_t workers, size_t max_queue,
   dc.seed = 103;
   const Database base = GenerateBaseData(workload.query, workload.views, dc);
 
-  ViewPlanner::Options planner_options;
-  planner_options.core_cover.num_threads = 1;
-  ViewPlanner planner(workload.views, MaterializeViews(workload.views, base),
-                      planner_options);
+  ViewPlanner planner(workload.views, MaterializeViews(workload.views, base));
   (void)planner.Plan(workload.query, CostModel::kM2);  // warm the cache
 
   // 16 renamed variants of the query: isomorphic, so they share one plan

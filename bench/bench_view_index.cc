@@ -52,7 +52,6 @@ void RunCatalogScale(benchmark::State& state, bool use_index) {
 
   ViewPlanner::Options options;
   options.enable_cache = false;
-  options.core_cover.num_threads = 1;
   options.core_cover.use_view_index = use_index;
   ViewPlanner planner(workload.views, Database(), options);
 

@@ -8,8 +8,8 @@
 // answer.
 //
 // Usage:
-//   vbr_cli [--all-minimal] [--show-tuples] [--no-grouping] [--threads N]
-//           [--no-cache] [--explain[=json]] [--trace]
+//   vbr_cli [--all-minimal] [--show-tuples] [--no-grouping] [--no-cache]
+//           [--explain[=json]] [--trace]
 //           [--deadline-ms MS] [--work-budget N] [--options JSON]
 //           [--data FACTS_FILE [--model m1|m2|m3]]
 //           [--replay QUERIES_FILE [--qps N] [--concurrency K]
@@ -125,14 +125,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-grouping") == 0) {
       options.group_views = false;
       options.group_view_tuples = false;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (++i >= argc) return Fail("--threads needs a count (0 = all cores)");
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        return Fail(std::string("--threads needs a number, got ") + argv[i]);
-      }
-      options.num_threads = static_cast<size_t>(n);
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       enable_cache = false;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {

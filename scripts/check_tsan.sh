@@ -1,7 +1,8 @@
 #!/bin/sh
 # Builds the library and tests with ThreadSanitizer (-DVBR_SANITIZE=thread)
 # and runs the concurrency-sensitive suites: the SymbolTable stress tests,
-# the threading determinism suite, and the pre-existing determinism tests.
+# the determinism tests (including CoreCover run by concurrent callers), and
+# the suites that plan on several threads.
 # Any reported race fails the run (TSAN_OPTIONS halt_on_error).
 #
 # Usage: scripts/check_tsan.sh [extra ctest -R regex]
@@ -24,7 +25,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DVBR_BUILD_BENCHMARKS=OFF \
   -DVBR_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target symbol_concurrency_test threading_determinism_test \
+  --target symbol_concurrency_test \
   determinism_test plan_cache_test plan_many_test \
   budget_determinism_test budget_governance_test fault_matrix_test \
   fault_injection_test stress_harness_test circuit_breaker_test \

@@ -28,13 +28,13 @@ namespace vbr {
 //
 // Determinism contract (tests/property/budget_determinism_test.cc): under a
 // pure WORK budget (no deadline), governed results are byte-identical across
-// thread counts and runs. Two rules make that hold:
+// runs. Two rules make that hold:
 //
 //  1. Decisions that consult the shared work counter happen only at SERIAL
 //     checkpoints (CheckPoint) — stage boundaries in CoreCover, the
 //     per-candidate costing loop — where the accumulated total is
-//     schedule-independent. Parallel hot loops use KeepGoing(), which never
-//     latches on work.
+//     deterministic. Hot loops use KeepGoing(), which never latches on
+//     work.
 //  2. An individual backtracking search is bounded by the deterministic
 //     per-search node cap (search_node_cap), identical for every search
 //     regardless of scheduling.

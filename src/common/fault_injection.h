@@ -33,9 +33,8 @@ namespace vbr {
 // Without VBR_FAULT_INJECTION, FaultCheck() is an inline constant and the
 // whole mechanism compiles to nothing at the check sites.
 //
-// Crossing counts are global; multi-threaded runs cross sites in a
-// nondeterministic interleaving, so tests that target "the Nth crossing"
-// should run the governed pipeline with num_threads = 1.
+// Crossing counts are global, so concurrent requests cross sites in a
+// nondeterministic interleaving.
 
 enum class FaultKind {
   kBudgetExhausted = 0,  // simulate the work budget running out

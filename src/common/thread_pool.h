@@ -15,16 +15,15 @@
 
 namespace vbr {
 
-// A fixed-size thread pool with a blocking ParallelFor, used by the rewrite
-// pipeline to parallelize its embarrassingly-parallel stages (view-tuple
-// generation, tuple-core computation, rewriting verification, top-level
-// set-cover branches).
+// A fixed-size thread pool with a blocking ParallelFor, used by
+// ViewPlanner::PlanMany to plan the queries of a batch concurrently (each
+// query's CoreCover run is serial).
 //
 // Design notes:
 //  * No work stealing: one shared atomic index per ParallelFor call hands
-//    out loop indices. The per-task work in the pipeline is large enough
-//    (a homomorphism search or a DFS branch) that contention on one counter
-//    is irrelevant, and the scheme keeps the pool small and auditable.
+//    out loop indices. The per-task work (planning one query) is large
+//    enough that contention on one counter is irrelevant, and the scheme
+//    keeps the pool small and auditable.
 //  * Deterministic results are the CALLER's contract: index-to-thread
 //    assignment is nondeterministic, so callers write their output into a
 //    pre-sized slot per index (results[i] from body(i)); every merge then
@@ -34,8 +33,8 @@ namespace vbr {
 //    num_threads == 1 spawns no workers and ParallelFor degenerates to a
 //    plain serial loop — bit-for-bit the single-threaded behavior.
 //  * ParallelFor calls from inside a pool task run serially inline rather
-//    than deadlocking; the pipeline never nests parallel stages, but the
-//    guard makes nesting safe.
+//    than deadlocking; PlanMany never nests them, but the guard makes
+//    nesting safe.
 //  * The library does not use exceptions (see common/check.h), so task
 //    bodies are assumed not to throw.
 class ThreadPool {

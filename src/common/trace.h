@@ -45,7 +45,7 @@ struct TraceEvent {
 };
 
 // Receives finished spans. Implementations must tolerate concurrent
-// OnSpanEnd calls: parallel pipeline stages emit from pool threads.
+// OnSpanEnd calls: concurrent requests may share one sink.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

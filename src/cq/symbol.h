@@ -25,9 +25,10 @@ inline constexpr Symbol kInvalidSymbol = -1;
 // grows; Symbols are never invalidated.
 //
 // Thread safety: every method may be called concurrently from any number of
-// threads (the parallel rewrite pipeline interns fresh variables from pool
-// workers). The name->id map is sharded under std::shared_mutex, so Intern
-// of an already-known name takes one shared lock on one shard. Resolving an
+// threads (service workers and PlanMany tasks plan concurrently, and
+// planning interns fresh variables). The name->id map is sharded under
+// std::shared_mutex, so Intern of an already-known name takes one shared
+// lock on one shard. Resolving an
 // id back to its string (NameOf) is LOCK-FREE: names live in chunked,
 // append-only storage whose entries never move, published with a
 // release-store of the table size, so any Symbol a thread legitimately holds

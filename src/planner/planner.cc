@@ -945,11 +945,9 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
   const ViewSnapshot& vs = *snapshot;
 
-  // The batch is the unit of parallelism: each query plans single-threaded
-  // while the pool fans out across fingerprint groups.
-  CoreCoverOptions serial_cc = options_.core_cover;
-  serial_cc.num_threads = 1;
-  ThreadPool pool(options_.core_cover.num_threads);
+  // The batch is the unit of parallelism: the pool fans out across
+  // fingerprint groups and each query plans on one thread.
+  ThreadPool pool(std::min(ThreadPool::DefaultThreadCount(), queries.size()));
 
   std::vector<std::unique_ptr<CanonicalQuery>> canon(queries.size());
   if (options_.enable_cache) {
@@ -1019,12 +1017,13 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
             PlanFromEntry(vs, queries[lead], model, *entry,
                           fallback ? *fallback : canon[lead]->from_canonical);
       } else {
-        results[lead] = PlanViaCoreCover(vs, queries[lead], model, serial_cc,
-                                         canon[lead].get(), &entry);
+        results[lead] =
+            PlanViaCoreCover(vs, queries[lead], model, options_.core_cover,
+                             canon[lead].get(), &entry);
       }
     } else {
-      results[lead] = PlanViaCoreCover(vs, queries[lead], model, serial_cc,
-                                       nullptr, nullptr);
+      results[lead] = PlanViaCoreCover(
+          vs, queries[lead], model, options_.core_cover, nullptr, nullptr);
     }
     // In-flight deduplication: duplicates reuse the representative's entry
     // directly (robust against concurrent eviction) and count as hits.
@@ -1035,8 +1034,9 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
         // The representative's run exhausted its budget, so nothing was
         // cached (a partial rewriting enumeration must not poison its
         // duplicates); each duplicate plans on its own budget instead.
-        results[idx] = PlanViaCoreCover(vs, queries[idx], model, serial_cc,
-                                        canon[idx].get(), nullptr);
+        results[idx] =
+            PlanViaCoreCover(vs, queries[idx], model, options_.core_cover,
+                             canon[idx].get(), nullptr);
         continue;
       }
       Substitution transport;

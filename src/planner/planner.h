@@ -157,8 +157,8 @@ class ViewPlanner {
   struct Options {
     Options() { core_cover.max_rewritings = 64; }
 
-    // Knobs forwarded to CoreCover / CoreCoverStar: worker threads,
-    // view/tuple grouping, verification, and the rewriting cap
+    // Knobs forwarded to CoreCover / CoreCoverStar: view/tuple grouping,
+    // verification, and the rewriting cap
     // (max_rewritings defaults to 64 here — the facade bounds the costing
     // loop tighter than the raw pipeline's 1024).
     CoreCoverOptions core_cover;
@@ -299,12 +299,11 @@ class ViewPlanner {
                           TraceSink* trace = nullptr) const;
 
   // Plans a batch: results[i] corresponds to queries[i]. The batch fans
-  // out on a thread pool (core_cover.num_threads workers; each individual
-  // query then plans single-threaded), and queries with identical
-  // fingerprints are deduplicated in flight: one representative per
-  // fingerprint runs CoreCover, and its result is transported to the
-  // duplicates (reported as cache hits). Results are identical to calling
-  // Plan() serially on each query in order, at every thread count.
+  // out on a thread pool (one thread per core, at most one per query), and
+  // queries with identical fingerprints are deduplicated in flight: one
+  // representative per fingerprint runs CoreCover, and its result is
+  // transported to the duplicates (reported as cache hits). Results are
+  // identical to calling Plan() serially on each query in order.
   std::vector<PlanResult> PlanMany(const std::vector<ConjunctiveQuery>& queries,
                                    CostModel model) const;
 

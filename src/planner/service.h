@@ -115,18 +115,6 @@ class PlanningService {
     // Optional trace sink for this request's span tree. Shed (ignored) at
     // brown-out level >= 1.
     TraceSink* trace = nullptr;
-
-    // DEPRECATED shim (kept one release) for callers that populated the
-    // old {query, model, deadline_ms} members directly.
-    [[deprecated("populate PlanRequest::options instead")]]
-    static PlanRequest Make(ConjunctiveQuery query, CostModel model,
-                            double deadline_ms = 0) {
-      PlanRequest request;
-      request.query = std::move(query);
-      request.options.model = model;
-      request.options.deadline_ms = deadline_ms;
-      return request;
-    }
   };
 
   struct PlanResponse {

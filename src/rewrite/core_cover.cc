@@ -1,14 +1,12 @@
 #include "rewrite/core_cover.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "common/budget.h"
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cq/containment.h"
 #include "rewrite/rewriting.h"
@@ -86,16 +84,6 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
   run_span.AddAttribute("mode",
                         mode == CoverMode::kMinimum ? "minimum" : "minimal");
   run_span.AddAttribute("num_views", static_cast<uint64_t>(views.size()));
-
-  // A num_threads of 1 (or a one-core machine) must reproduce the serial
-  // pipeline bit-for-bit, so no pool is created at all in that case and
-  // every stage takes its plain serial path.
-  const size_t num_threads = options.num_threads == 0
-                                 ? ThreadPool::DefaultThreadCount()
-                                 : options.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-  result.stats.threads_used = num_threads;
 
   // The run is governed when the caller installed a ResourceGovernor
   // (planner deadlines / budgets, see common/budget.h). Each stage boundary
@@ -247,12 +235,12 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     return result;
   }
 
-  // Step 2: view tuples on the canonical database, one task per view.
+  // Step 2: view tuples on the canonical database.
   result.stats.view_tuple_tasks = working_views.size();
   std::vector<ViewTuple> tuples;
   {
     TraceSpan span(run_span, "view_tuples");
-    tuples = ComputeViewTuples(q, working_views, pool.get());
+    tuples = ComputeViewTuples(q, working_views);
     span.AddAttribute("tuples", static_cast<uint64_t>(tuples.size()));
   }
   result.stats.view_tuple_ms = phase_timer.ElapsedMillis();
@@ -262,19 +250,15 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     return result;
   }
 
-  // Step 3: tuple-cores, one task per tuple, written by tuple index.
+  // Step 3: the tuple-core of every view tuple.
   phase_timer.Reset();
   result.stats.tuple_core_tasks = tuples.size();
-  std::vector<TupleCore> cores(tuples.size());
+  std::vector<TupleCore> cores;
+  cores.reserve(tuples.size());
   {
     TraceSpan span(run_span, "tuple_cores");
-    const auto compute_core = [&](size_t i) {
-      cores[i] = ComputeTupleCore(q, tuples[i], working_views);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(tuples.size(), compute_core);
-    } else {
-      for (size_t i = 0; i < tuples.size(); ++i) compute_core(i);
+    for (const ViewTuple& tuple : tuples) {
+      cores.push_back(ComputeTupleCore(q, tuple, working_views));
     }
     span.AddAttribute("cores", static_cast<uint64_t>(tuples.size()));
   }
@@ -312,8 +296,7 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     if (!cores[i].empty()) ++result.stats.num_nonempty_cores;
   }
 
-  // Step 4: cover the query subgoals with tuple-cores; the top-level DFS
-  // branches are explored in parallel.
+  // Step 4: cover the query subgoals with tuple-cores.
   phase_timer.Reset();
   const uint64_t universe = (n == 64) ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
   std::vector<uint64_t> sets;
@@ -326,15 +309,14 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     if (mode == CoverMode::kMinimum) {
       MinimumCoversResult min_covers =
           FindAllMinimumCovers(universe, sets, options.max_rewritings,
-                               pool.get(), &result.stats.cover_branch_tasks);
+                               &result.stats.cover_branch_tasks);
       result.has_rewriting = min_covers.feasible;
       result.stats.minimum_cover_size = min_covers.min_size;
       result.truncated = min_covers.truncated;
       covers = std::move(min_covers.covers);
       // An incomplete enumeration must never read as a complete one: a
       // branch stopped by its node cap does not latch the governor itself,
-      // so latch here (deterministic under a pure work budget — the aborted
-      // flag is schedule-independent).
+      // so latch here (deterministic under a pure work budget).
       if (min_covers.aborted && governor != nullptr) {
         governor->NoteExhausted(BudgetKind::kWork, "corecover.set_cover");
       }
@@ -342,7 +324,7 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
       bool truncated = false;
       bool aborted = false;
       covers = FindAllMinimalCovers(universe, sets, options.max_rewritings,
-                                    &truncated, pool.get(),
+                                    &truncated,
                                     &result.stats.cover_branch_tasks, &aborted);
       result.has_rewriting = !covers.empty();
       result.truncated = truncated;
@@ -368,34 +350,21 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
   }
 
   if (options.verify_rewritings) {
-    // One containment check per rewriting; each is an independent
-    // homomorphism search.
+    // One containment check per rewriting.
     TraceSpan span(run_span, "verify");
     result.stats.verify_tasks = result.rewritings.size();
-    std::vector<char> failed(result.rewritings.size(), 0);
-    const auto verify = [&](size_t i) {
-      if (IsEquivalentRewriting(result.rewritings[i], query, views)) return;
+    std::erase_if(result.rewritings, [&](const ConjunctiveQuery& rewriting) {
+      if (IsEquivalentRewriting(rewriting, query, views)) return false;
       // Under an exhausted budget the equivalence check itself may have been
       // the thing that aborted, so a failure is indistinguishable from an
       // unfinished search: drop the rewriting instead of crashing. With
       // budget to spare, a failure is a genuine algorithmic bug.
       VBR_CHECK_MSG(governor != nullptr && governor->exhausted(),
                     "CoreCover produced a non-equivalent rewriting");
-      failed[i] = 1;
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(result.rewritings.size(), verify);
-    } else {
-      for (size_t i = 0; i < result.rewritings.size(); ++i) verify(i);
-    }
-    size_t kept = 0;
-    for (size_t i = 0; i < result.rewritings.size(); ++i) {
-      if (failed[i]) continue;
-      if (kept != i) result.rewritings[kept] = std::move(result.rewritings[i]);
-      ++kept;
-    }
-    result.rewritings.resize(kept);
-    span.AddAttribute("verified", static_cast<uint64_t>(kept));
+      return true;
+    });
+    span.AddAttribute("verified",
+                      static_cast<uint64_t>(result.rewritings.size()));
   }
 
   finalize();

@@ -72,12 +72,6 @@ struct CoreCoverOptions {
   // equivalent to the query (Theorem 4.1 makes this redundant; tests use
   // it).
   bool verify_rewritings = false;
-  // Worker threads for the parallel stages (view-tuple generation,
-  // tuple-core computation, rewriting verification, top-level set-cover
-  // branches). 0 means std::thread::hardware_concurrency(); 1 runs the
-  // pre-threading serial code path bit-for-bit. Results are deterministic
-  // and identical for every value (see DESIGN.md "Threading model").
-  size_t num_threads = 0;
   // When a sink is attached, the run emits a "core_cover" span (a child of
   // trace.parent_id) with one child span per pipeline stage: minimize,
   // group_views, view_tuples, tuple_cores, set_cover, and verify. Inert by
@@ -101,16 +95,17 @@ struct CoreCoverStats {
   double tuple_core_ms = 0;
   double cover_ms = 0;
   double total_ms = 0;
-  // Parallel-stage bookkeeping: how many tasks each stage dispatched. These
-  // are counts of logical work items, deterministic and independent of
-  // num_threads (the M2/M3 optimizers and the determinism suite rely on
-  // that), unlike the wall-clock timings above.
+  // Per-stage work items: views searched for tuples, tuple-cores computed,
+  // rewritings verified, top-level set-cover branches explored. Counts of
+  // logical work, deterministic (the M2/M3 optimizers and the determinism
+  // suite rely on that), unlike the wall-clock timings above.
   size_t view_tuple_tasks = 0;
   size_t tuple_core_tasks = 0;
   size_t verify_tasks = 0;
   size_t cover_branch_tasks = 0;
-  // The resolved thread count the run used (num_threads, with 0 resolved to
-  // the hardware concurrency).
+  // Always 1: the pipeline is serial. Kept so the VBIN Stats layout
+  // (docs/FORMAT.md) is unchanged; stats decoded from a snapshot written
+  // by an older build keep the value stored there.
   size_t threads_used = 1;
   // Governed work units charged to the run's ResourceGovernor (0 when the
   // run was ungoverned). Deterministic under a pure work budget.

@@ -6,7 +6,6 @@
 
 #include "common/budget.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace vbr {
 
@@ -17,23 +16,21 @@ namespace {
 // sets reaches every minimal (hence every minimum) cover.
 //
 // The first branching level (the sets containing the lowest element of the
-// whole universe) splits the search into independent subtrees, which is
-// where the parallelism lives: each top-level branch explores its subtree
-// into private state, and the branch outputs are merged in branch order.
-// Because the serial DFS visits branch 0 entirely before branch 1, the
-// merged discovery order equals the serial discovery order, making results
-// (and cap truncation) independent of the thread count.
+// whole universe) splits the search into top-level branches. Each explores
+// its subtree into private state under its own search-node cap, and the
+// branch outputs are merged in branch order, which is the depth-first
+// discovery order; the budget outcome and the `max_out` truncation point
+// follow from that per-branch accounting.
 class CoverSearch {
  public:
-  CoverSearch(uint64_t universe, const std::vector<uint64_t>& sets,
-              ThreadPool* pool)
-      : universe_(universe), sets_(sets), pool_(pool) {
+  CoverSearch(uint64_t universe, const std::vector<uint64_t>& sets)
+      : universe_(universe), sets_(sets) {
     for (size_t i = 0; i < sets_.size(); ++i) {
       if (sets_[i] != 0) nonempty_.push_back(i);
     }
   }
 
-  // Enumerates covers in serial depth-first discovery order, deduplicated,
+  // Enumerates covers in depth-first discovery order, deduplicated,
   // capped at `max_out` distinct covers. With `require_exact`, only covers
   // of size exactly `depth_limit` are recorded (with the optimistic bound
   // pruning); otherwise every cover the branching reaches within
@@ -56,21 +53,15 @@ class CoverSearch {
     if (branch_tasks != nullptr) *branch_tasks += branch_sets.size();
 
     std::vector<Branch> branches(branch_sets.size());
-    const auto run_branch = [&](size_t b) {
+    for (size_t b = 0; b < branch_sets.size(); ++b) {
       Branch& branch = branches[b];
       branch.chosen.push_back(branch_sets[b]);
       Dfs(&branch, universe_ & ~sets_[branch_sets[b]], depth_limit,
           require_exact, max_out);
-    };
-    if (pool_ != nullptr && branch_sets.size() > 1) {
-      pool_->ParallelFor(branch_sets.size(), run_branch);
-    } else {
-      for (size_t b = 0; b < branch_sets.size(); ++b) run_branch(b);
     }
     if (governor_ != nullptr) {
-      // Per-branch node counts are schedule-independent (each branch runs to
-      // completion or to its deterministic cap), so this total — charged at
-      // the barrier after the parallel stage — is too.
+      // Each branch runs to completion or to its deterministic cap, so the
+      // node total charged here is deterministic too.
       uint64_t nodes = 0;
       for (const Branch& branch : branches) {
         nodes += branch.nodes;
@@ -79,8 +70,7 @@ class CoverSearch {
       if (nodes > 0) governor_->ChargeWork(nodes);
     }
 
-    // Merge in branch order with global deduplication; stop at the cap
-    // exactly where the serial enumeration would have stopped.
+    // Merge in branch order with global deduplication; stop at the cap.
     std::set<std::vector<size_t>> seen;
     std::vector<std::vector<size_t>> out;
     for (const Branch& branch : branches) {
@@ -113,9 +103,8 @@ class CoverSearch {
            bool require_exact, size_t max_out) const {
     if (governor_ != nullptr) {
       ++branch->nodes;
-      // The cap is per branch and identical for every branch, so where each
-      // branch stops does not depend on the schedule; KeepGoing only
-      // observes the deadline and injected faults.
+      // The cap is per branch and identical for every branch; KeepGoing
+      // only observes the deadline and injected faults.
       if ((node_cap_ != 0 && branch->nodes > node_cap_) ||
           (branch->nodes % 64 == 0 &&
            !governor_->KeepGoing("corecover.set_cover"))) {
@@ -165,7 +154,6 @@ class CoverSearch {
 
   const uint64_t universe_;
   const std::vector<uint64_t>& sets_;
-  ThreadPool* const pool_;
   std::vector<size_t> nonempty_;
   ResourceGovernor* const governor_ = ResourceGovernor::Current();
   const uint64_t node_cap_ = governor_ ? governor_->search_node_cap() : 0;
@@ -187,7 +175,7 @@ bool IsMinimalCover(uint64_t universe, const std::vector<uint64_t>& sets,
 
 MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
                                          const std::vector<uint64_t>& sets,
-                                         size_t max_covers, ThreadPool* pool,
+                                         size_t max_covers,
                                          size_t* branch_tasks) {
   MinimumCoversResult result;
   if (universe == 0) {
@@ -201,15 +189,14 @@ MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
   for (uint64_t s : sets) all |= s;
   if ((all & universe) != universe) return result;
 
-  CoverSearch search(universe, sets, pool);
+  CoverSearch search(universe, sets);
   ResourceGovernor* const governor = ResourceGovernor::Current();
   const size_t max_depth =
       std::min<size_t>(sets.size(),
                        static_cast<size_t>(std::popcount(universe)));
   for (size_t k = 1; k <= max_depth; ++k) {
-    // Serial per-cardinality checkpoint: the work total accumulated by
-    // depth k-1 is schedule-independent, so a work budget latches here
-    // deterministically.
+    // Per-cardinality checkpoint: the work total accumulated by depth k-1 is
+    // deterministic, so a work budget latches here deterministically.
     if (governor != nullptr && !governor->CheckPoint("corecover.set_cover")) {
       result.aborted = true;
       return result;
@@ -242,23 +229,23 @@ MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
 
 std::vector<std::vector<size_t>> FindAllMinimalCovers(
     uint64_t universe, const std::vector<uint64_t>& sets, size_t max_covers,
-    bool* truncated, ThreadPool* pool, size_t* branch_tasks, bool* aborted) {
+    bool* truncated, size_t* branch_tasks, bool* aborted) {
   if (aborted != nullptr) *aborted = false;
   if (universe == 0) {
     if (truncated != nullptr) *truncated = false;
     return {{}};
   }
-  // Serial pre-search checkpoint, mirroring the per-cardinality one in
+  // Pre-search checkpoint, mirroring the per-cardinality one in
   // FindAllMinimumCovers: the work accumulated by the earlier stages is
-  // schedule-independent, so a work budget latches here deterministically
-  // (the in-search KeepGoing only observes deadlines and injected faults).
+  // deterministic, so a work budget latches here deterministically (the
+  // in-search KeepGoing only observes deadlines and injected faults).
   ResourceGovernor* const governor = ResourceGovernor::Current();
   if (governor != nullptr && !governor->CheckPoint("corecover.set_cover")) {
     if (truncated != nullptr) *truncated = false;
     if (aborted != nullptr) *aborted = true;
     return {};
   }
-  CoverSearch search(universe, sets, pool);
+  CoverSearch search(universe, sets);
   bool hit_cap = false;
   bool hit_budget = false;
   std::vector<std::vector<size_t>> found =

@@ -8,8 +8,6 @@
 
 namespace vbr {
 
-class ThreadPool;
-
 // Exact set covering over a universe of at most 64 elements, used by
 // CoreCover to cover query subgoals with tuple-cores (Section 4.2) and by
 // CoreCover* to enumerate all minimal covers (Section 5.1). Sets are
@@ -23,13 +21,9 @@ class ThreadPool;
 // direct callers of these functions must enforce the cap themselves.
 //
 // Both enumerations branch, for the lowest uncovered element, over every set
-// containing it. The top-level branches are independent and may be explored
-// in parallel by passing a ThreadPool; results are merged in branch order,
-// which reproduces the serial depth-first discovery order exactly, so the
-// output (including which covers survive a `max_covers` truncation) is
-// byte-identical for every thread count. `branch_tasks`, when non-null, is
-// incremented by the number of top-level branches explored (a deterministic
-// work counter surfaced in CoreCoverStats).
+// containing it, in depth-first discovery order. `branch_tasks`, when
+// non-null, is incremented by the number of top-level branches explored (a
+// deterministic work counter surfaced in CoreCoverStats).
 
 struct MinimumCoversResult {
   // True if some cover exists.
@@ -51,7 +45,6 @@ struct MinimumCoversResult {
 MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
                                          const std::vector<uint64_t>& sets,
                                          size_t max_covers = 1024,
-                                         ThreadPool* pool = nullptr,
                                          size_t* branch_tasks = nullptr);
 
 // All minimal (irredundant) covers: covers from which no set can be removed.
@@ -62,8 +55,7 @@ MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
 std::vector<std::vector<size_t>> FindAllMinimalCovers(
     uint64_t universe, const std::vector<uint64_t>& sets,
     size_t max_covers = 4096, bool* truncated = nullptr,
-    ThreadPool* pool = nullptr, size_t* branch_tasks = nullptr,
-    bool* aborted = nullptr);
+    size_t* branch_tasks = nullptr, bool* aborted = nullptr);
 
 }  // namespace vbr
 

@@ -4,30 +4,27 @@
 
 #include "common/budget.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "cq/homomorphism.h"
 
 namespace vbr {
 
 namespace {
 
-// Tuples of one view on the canonical database, deduplicated per view. Runs
-// concurrently for distinct views: it only reads the shared canonical
-// database and interns symbols (thread-safe).
-std::vector<ViewTuple> TuplesOfView(const CanonicalDatabase& canonical,
-                                    const AtomIndex& facts_index,
-                                    const View& view, size_t view_index) {
+// Appends the tuples of one view on the canonical database to `out`,
+// deduplicated per view.
+void AppendTuplesOfView(const CanonicalDatabase& canonical,
+                        const AtomIndex& facts_index, const View& view,
+                        size_t view_index, std::vector<ViewTuple>* out) {
   VBR_CHECK_MSG(view.IsSafe(), "view definitions must be safe");
   VBR_CHECK_MSG(!view.HasBuiltins(),
                 "view tuples require comparison-free views");
-  std::vector<ViewTuple> result;
   std::unordered_set<Atom, AtomHash> seen;
   ResourceGovernor* const governor = ResourceGovernor::Current();
   ForEachHomomorphism(
       view.body(), facts_index, {}, [&](const Substitution& h) {
         const Atom tuple = canonical.Thaw(h.Apply(view.head()));
         if (seen.insert(tuple).second) {
-          result.push_back(ViewTuple{tuple, view_index});
+          out->push_back(ViewTuple{tuple, view_index});
           // Every generated tuple is governed work; an aborted enumeration
           // leaves a prefix of genuine tuples, which downstream stages may
           // only under-cover with.
@@ -38,33 +35,20 @@ std::vector<ViewTuple> TuplesOfView(const CanonicalDatabase& canonical,
         }
         return true;
       });
-  return result;
 }
 
 }  // namespace
 
 std::vector<ViewTuple> ComputeViewTuples(const ConjunctiveQuery& query,
-                                         const ViewSet& views,
-                                         ThreadPool* pool) {
+                                         const ViewSet& views) {
   const CanonicalDatabase canonical(query);
   // One index over the canonical facts, shared read-only by every view's
   // search (the per-view per-predicate hash rebuild used to dominate this
   // stage for large view sets).
   const AtomIndex facts_index(canonical.facts());
-  std::vector<std::vector<ViewTuple>> per_view(views.size());
-  const auto compute = [&](size_t vi) {
-    per_view[vi] = TuplesOfView(canonical, facts_index, views[vi], vi);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(views.size(), compute);
-  } else {
-    for (size_t vi = 0; vi < views.size(); ++vi) compute(vi);
-  }
-  // Concatenate in view order: output is independent of the thread count.
   std::vector<ViewTuple> result;
-  for (std::vector<ViewTuple>& tuples : per_view) {
-    result.insert(result.end(), std::make_move_iterator(tuples.begin()),
-                  std::make_move_iterator(tuples.end()));
+  for (size_t vi = 0; vi < views.size(); ++vi) {
+    AppendTuplesOfView(canonical, facts_index, views[vi], vi, &result);
   }
   return result;
 }

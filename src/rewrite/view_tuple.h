@@ -9,8 +9,6 @@
 
 namespace vbr {
 
-class ThreadPool;
-
 // A view tuple (Section 3.3): a tuple the view produces on the query's
 // canonical database, with frozen constants restored to query variables.
 // Lemma 3.2 shows every rewriting can be transformed to one whose subgoals
@@ -29,14 +27,9 @@ struct ViewTuple {
 // CoreCover pipeline, though any safe query works) and thaws the results.
 // Duplicate tuples from one view are deduplicated; the same atom produced by
 // two different views yields two entries (they reference different view
-// relations).
-//
-// With a non-null `pool`, the per-view homomorphism searches run in
-// parallel; results are concatenated in view order, so the output is
-// identical for every thread count.
+// relations). Tuples are listed in view order.
 std::vector<ViewTuple> ComputeViewTuples(const ConjunctiveQuery& query,
-                                         const ViewSet& views,
-                                         ThreadPool* pool = nullptr);
+                                         const ViewSet& views);
 
 }  // namespace vbr
 

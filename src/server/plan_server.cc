@@ -327,6 +327,11 @@ void PlanServer::DrainTick() {
   for (const auto& [fd, conn] : conns_by_fd_) conns.push_back(conn);
   for (const std::shared_ptr<Connection>& conn : conns) {
     if (!conn->fd.valid()) continue;
+    // A request the client sent before the drain may still sit unread in
+    // the kernel (accepted this tick, or its readable event not yet
+    // polled); read it so it is served instead of dropped.
+    if (conn->in_flight == 0) HandleReadable(*conn);
+    if (!conn->fd.valid()) continue;
     // A connection still owes responses (planning, or buffered output);
     // keep it until the completion flushes.
     if (conn->in_flight > 0 || conn->out_offset < conn->out.size()) continue;

@@ -54,7 +54,6 @@ Workload SmallChain() {
 
 ViewPlanner::Options GovernedOptions(ResourceLimits budget) {
   ViewPlanner::Options options;
-  options.core_cover.num_threads = 1;
   options.budget = budget;
   options.fallback_work_budget = 5'000;  // keep ladder rungs test-fast
   return options;
@@ -137,9 +136,7 @@ TEST_F(BudgetGovernanceTest, WorkBudgetLadderIsSoundAtEveryLevel) {
 TEST_F(BudgetGovernanceTest, GenerousBudgetMatchesUngoverned) {
   const Workload w = SmallChain();
   const Database instances = MaterializeViews(w.views, Database{});
-  ViewPlanner::Options ungoverned_options;
-  ungoverned_options.core_cover.num_threads = 1;
-  ViewPlanner ungoverned(w.views, instances, ungoverned_options);
+  ViewPlanner ungoverned(w.views, instances);
   const auto baseline = ungoverned.Plan(w.query, CostModel::kM2);
   ASSERT_TRUE(baseline.ok());
 
@@ -161,9 +158,7 @@ TEST_F(BudgetGovernanceTest, GenerousBudgetMatchesUngoverned) {
 TEST_F(BudgetGovernanceTest, ExhaustedRunDoesNotPoisonTheCache) {
   const Workload w = SmallChain();
   const Database instances = MaterializeViews(w.views, Database{});
-  ViewPlanner::Options options;
-  options.core_cover.num_threads = 1;
-  ViewPlanner baseline_planner(w.views, instances, options);
+  ViewPlanner baseline_planner(w.views, instances);
   const auto baseline = baseline_planner.Plan(w.query, CostModel::kM2);
   ASSERT_TRUE(baseline.ok());
 

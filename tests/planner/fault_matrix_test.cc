@@ -42,7 +42,6 @@ Workload MatrixWorkload() {
 
 ViewPlanner::Options MatrixOptions() {
   ViewPlanner::Options options;
-  options.core_cover.num_threads = 1;
   ResourceLimits budget;
   budget.work_limit = uint64_t{1} << 40;  // governor present, never trips
   options.budget = budget;
@@ -104,9 +103,7 @@ TEST_F(FaultMatrixTest, EverySiteSurvivesEveryFault) {
   const Database instances = MaterializeViews(w.views, Database{});
 
   // Ungoverned ground truth for the no-poisoning check.
-  ViewPlanner::Options plain;
-  plain.core_cover.num_threads = 1;
-  ViewPlanner baseline_planner(w.views, instances, plain);
+  ViewPlanner baseline_planner(w.views, instances);
   const auto baseline = baseline_planner.Plan(w.query, CostModel::kM2);
   ASSERT_TRUE(baseline.ok());
   const std::string baseline_logical = baseline.choice->logical.ToString();

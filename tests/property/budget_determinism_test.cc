@@ -4,9 +4,9 @@
 // work_limit). Abort decisions latch only at serial checkpoints or via
 // per-branch node caps that are identical for every branch, so the full
 // result — status, exhaustion site, rewritings, stats counters, and even
-// work_used itself — must be byte-identical across thread counts and
-// repeated runs. Deadline and memory budgets are explicitly outside this
-// contract (they depend on the clock and the allocator).
+// work_used itself — must be byte-identical across repeated runs. Deadline
+// and memory budgets are explicitly outside this contract (they depend on
+// the clock and the allocator).
 
 #include <gtest/gtest.h>
 
@@ -64,15 +64,12 @@ std::string Fingerprint(const CoreCoverResult& r) {
   return s;
 }
 
-std::string GovernedRun(const Workload& w, uint64_t work_limit,
-                        size_t num_threads) {
+std::string GovernedRun(const Workload& w, uint64_t work_limit) {
   ResourceLimits limits;
   limits.work_limit = work_limit;
   ResourceGovernor governor(limits);
   GovernorScope scope(&governor);
-  CoreCoverOptions options;
-  options.num_threads = num_threads;
-  return Fingerprint(CoreCoverStar(w.query, w.views, options));
+  return Fingerprint(CoreCoverStar(w.query, w.views));
 }
 
 TEST(BudgetDeterminismTest, WorkBudgetOutcomeIsByteIdentical) {
@@ -86,9 +83,7 @@ TEST(BudgetDeterminismTest, WorkBudgetOutcomeIsByteIdentical) {
   {
     ResourceGovernor governor(unlimited_work);
     GovernorScope scope(&governor);
-    CoreCoverOptions options;
-    options.num_threads = 1;
-    const auto full = CoreCoverStar(w.query, w.views, options);
+    const auto full = CoreCoverStar(w.query, w.views);
     ASSERT_EQ(full.status, CoreCoverStatus::kOk);
     total_work = full.stats.work_used;
   }
@@ -97,14 +92,10 @@ TEST(BudgetDeterminismTest, WorkBudgetOutcomeIsByteIdentical) {
   const uint64_t budgets[] = {total_work / 10, total_work / 3,
                               total_work / 2, total_work, total_work * 2};
   for (const uint64_t budget : budgets) {
-    const std::string reference = GovernedRun(w, budget, 1);
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        const std::string got = GovernedRun(w, budget, threads);
-        EXPECT_EQ(got, reference)
-            << "budget=" << budget << " threads=" << threads
-            << " repeat=" << repeat;
-      }
+    const std::string reference = GovernedRun(w, budget);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(GovernedRun(w, budget), reference)
+          << "budget=" << budget << " repeat=" << repeat;
     }
   }
 }
@@ -117,7 +108,6 @@ TEST(BudgetDeterminismTest, GovernedPlannerIsDeterministic) {
 
   auto run = [&](uint64_t work_limit) {
     ViewPlanner::Options options;
-    options.core_cover.num_threads = 1;
     options.budget.work_limit = work_limit;
     options.fallback_work_budget = 10'000;
     ViewPlanner planner(w.views, instances, options);

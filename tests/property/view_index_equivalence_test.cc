@@ -208,19 +208,17 @@ std::string PlanKey(const ViewPlanner::PlanResult& r) {
       baseline.push_back(PlanKey(r));
     }
   }
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ViewPlanner::Options options;
-    options.core_cover.use_view_index = true;
-    options.core_cover.num_threads = threads;
-    ViewPlanner planner(w.views, Database{}, options);
-    const auto results = planner.PlanMany(batch, CostModel::kM1);
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (PlanKey(results[i]) != baseline[i]) {
-        return ::testing::AssertionFailure()
-               << CaseLabel(shape, seed) << "indexed plan diverged at threads="
-               << threads << " batch index " << i << "\nbaseline: "
-               << baseline[i] << "\nindexed:  " << PlanKey(results[i]);
-      }
+  ViewPlanner::Options options;
+  options.core_cover.use_view_index = true;
+  ViewPlanner planner(w.views, Database{}, options);
+  const auto results = planner.PlanMany(batch, CostModel::kM1);
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (PlanKey(results[i]) != baseline[i]) {
+      return ::testing::AssertionFailure()
+             << CaseLabel(shape, seed)
+             << "indexed plan diverged at batch index " << i
+             << "\nbaseline: " << baseline[i]
+             << "\nindexed:  " << PlanKey(results[i]);
     }
   }
   return ::testing::AssertionSuccess();

@@ -79,12 +79,8 @@ struct SoakFixture {
     dc.seed = seed + 100;
     const Database base = GenerateBaseData(workload.query, workload.views, dc);
     view_db = MaterializeViews(workload.views, base);
-    ViewPlanner::Options planner_options;
-    planner_options.core_cover.num_threads = 1;
-    served_planner = std::make_unique<ViewPlanner>(workload.views, view_db,
-                                                   planner_options);
-    reference_planner = std::make_unique<ViewPlanner>(workload.views, view_db,
-                                                      planner_options);
+    served_planner = std::make_unique<ViewPlanner>(workload.views, view_db);
+    reference_planner = std::make_unique<ViewPlanner>(workload.views, view_db);
     PlanningService::Options service_options;
     service_options.num_workers = 2;
     service_options.request_log = std::move(request_log);

@@ -60,10 +60,7 @@ struct HygieneFixture {
     dc.seed = seed + 100;
     const Database base = GenerateBaseData(workload.query, workload.views, dc);
     view_db = MaterializeViews(workload.views, base);
-    ViewPlanner::Options planner_options;
-    planner_options.core_cover.num_threads = 1;
-    planner = std::make_unique<ViewPlanner>(workload.views, view_db,
-                                            planner_options);
+    planner = std::make_unique<ViewPlanner>(workload.views, view_db);
     PlanningService::Options service_options;
     service_options.num_workers = 2;
     service = std::make_unique<PlanningService>(planner.get(),

@@ -69,12 +69,8 @@ struct ServerFixture {
     dc.seed = seed + 100;
     const Database base = GenerateBaseData(workload.query, workload.views, dc);
     view_db = MaterializeViews(workload.views, base);
-    ViewPlanner::Options planner_options;
-    planner_options.core_cover.num_threads = 1;  // deterministic planning
-    served_planner = std::make_unique<ViewPlanner>(workload.views, view_db,
-                                                   planner_options);
-    reference_planner = std::make_unique<ViewPlanner>(workload.views, view_db,
-                                                      planner_options);
+    served_planner = std::make_unique<ViewPlanner>(workload.views, view_db);
+    reference_planner = std::make_unique<ViewPlanner>(workload.views, view_db);
     PlanningService::Options service_options;
     service_options.num_workers = workers;
     served = std::make_unique<PlanningService>(served_planner.get(),
@@ -409,7 +405,6 @@ TEST(PlanServerTest, DisconnectMidPlanDropsTheResponseAndNothingElse) {
   dc.seed = 131;
   const Database base = GenerateBaseData(workload.query, workload.views, dc);
   ViewPlanner::Options planner_options;
-  planner_options.core_cover.num_threads = 1;
   planner_options.enable_minicon_fallback = false;
   ViewPlanner planner(workload.views,
                       MaterializeViews(workload.views, base),

@@ -79,7 +79,6 @@ struct ServiceFixture {
     const Database base = GenerateBaseData(workload.query, workload.views, dc);
     view_db = MaterializeViews(workload.views, base);
     ViewPlanner::Options options;
-    options.core_cover.num_threads = 1;
     // The harness drives exhaustion through the SERVICE's governor; the
     // MiniCon recovery ladder would turn injected aborts back into plans.
     options.enable_minicon_fallback = minicon_fallback;
