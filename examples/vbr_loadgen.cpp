@@ -11,7 +11,7 @@
 // With --check-statz the run ends by fetching /statz from the server's
 // HTTP port and verifying the service accounting invariants
 //   submitted == admitted + rejected
-//   admitted  == completed + shed + failed
+//   admitted  == completed + shed
 // which is what the CI smoke job asserts end to end over the wire.
 //
 // With --handles the driver reuses server-issued query handles: after a
@@ -243,16 +243,14 @@ int main(int argc, char** argv) {
     const uint64_t rejected = StatOr0(*service, "rejected");
     const uint64_t completed = StatOr0(*service, "completed");
     const uint64_t shed = StatOr0(*service, "shed");
-    const uint64_t failed = StatOr0(*service, "failed");
     std::printf(
         "statz: submitted=%llu admitted=%llu rejected=%llu completed=%llu "
-        "shed=%llu failed=%llu\n",
+        "shed=%llu\n",
         static_cast<unsigned long long>(submitted),
         static_cast<unsigned long long>(admitted),
         static_cast<unsigned long long>(rejected),
         static_cast<unsigned long long>(completed),
-        static_cast<unsigned long long>(shed),
-        static_cast<unsigned long long>(failed));
+        static_cast<unsigned long long>(shed));
     if (submitted != admitted + rejected) {
       std::fprintf(stderr,
                    "vbr_loadgen: FAIL accounting: submitted != admitted + "
@@ -263,10 +261,10 @@ int main(int argc, char** argv) {
     // loadgen has received every response it will get, so any remaining
     // difference means requests are still in flight (shutdown-shed later)
     // — tolerate in-flight but never over-count.
-    if (completed + shed + failed > admitted) {
+    if (completed + shed > admitted) {
       std::fprintf(stderr,
-                   "vbr_loadgen: FAIL accounting: completed + shed + failed "
-                   "> admitted\n");
+                   "vbr_loadgen: FAIL accounting: completed + shed > "
+                   "admitted\n");
       exit_code = 3;
     }
   }

@@ -5,9 +5,9 @@
 // optionally materializes them over --data ground facts, and starts a
 // PlanServer (server/plan_server.h): the compact binary protocol on --port
 // and the HTTP/1.1 JSON debug endpoint on --http-port.  Planning runs
-// through a PlanningService, so admission control, deadlines, retries, and
-// the brown-out ladder all apply to network requests exactly as they do to
-// in-process callers.
+// through a PlanningService, so admission control, deadlines, and the
+// brown-out ladder all apply to network requests exactly as they do to
+// in-process callers; every admitted request is planned once.
 //
 // Usage:
 //   vbr_server [--port P] [--http-port P] [--host H]

@@ -5,7 +5,7 @@
 # checks gate the result:
 #   - every request answered exactly once (lost == duplicated == 0)
 #   - service accounting balances (submitted == admitted + rejected, and
-#     completed + shed + failed never exceeds admitted), scraped from the
+#     completed + shed never exceeds admitted), scraped from the
 #     HTTP /statz endpoint via --check-statz.
 #
 # Usage: scripts/check_net_smoke.sh

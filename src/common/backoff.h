@@ -12,8 +12,8 @@ namespace vbr {
 // schedule base * multiplier^(attempt-1), capped at max_ms, with the top
 // `jitter` fraction randomized by a splitmix64 hash of (seed, attempt).
 // There is no hidden state and no clock, so retry schedules are exactly
-// reproducible from the request's seed — the PlanningService uses the
-// request's admission sequence number, which makes every retry delay in a
+// reproducible from the seed — net::ResilientClient seeds it with its
+// backoff_seed XOR the request id, which makes every retry delay in a
 // deterministic test replayable (see tests/common/backoff_test.cc).
 struct BackoffPolicy {
   // Total attempts, including the first; 1 disables retries entirely.

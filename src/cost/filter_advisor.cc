@@ -14,7 +14,7 @@ FilterAdvice AdviseFilters(const ConjunctiveQuery& rewriting,
 
   std::vector<bool> used(candidates.size(), false);
   bool progress = true;
-  while (progress) {
+  while (progress && advice.improved.num_subgoals() < kMaxM2Subgoals) {
     progress = false;
     size_t best_candidate = candidates.size();
     size_t best_cost = advice.improved_cost;

@@ -12,7 +12,8 @@ namespace vbr {
 // rewriting cheaper under M2 when the extra relation is selective (rewriting
 // P3 beating P2 in the car-loc-part example when v3 is small). The advisor
 // greedily appends candidate filter atoms (typically the empty-core view
-// tuples CoreCover reports) while the M2-optimal cost decreases.
+// tuples CoreCover reports) while the M2-optimal cost decreases, and never
+// past the M2 search's kMaxM2Subgoals (the input must be within it).
 
 struct FilterAdvice {
   // The input rewriting with the accepted filters appended.

@@ -53,7 +53,7 @@ M2OptimizationResult OptimizeOrderM2(const ConjunctiveQuery& rewriting,
   TraceSpan span(trace, "optimize_m2");
   const size_t n = rewriting.num_subgoals();
   VBR_CHECK_MSG(n >= 1, "cannot optimize an empty rewriting");
-  VBR_CHECK_MSG(n <= 20, "subset DP is limited to 20 subgoals");
+  VBR_CHECK_MSG(n <= kMaxM2Subgoals, "subset DP is limited to 20 subgoals");
   IrSizeCache ir(rewriting, view_db);
 
   const uint32_t full = (n == 32) ? ~uint32_t{0} : (uint32_t{1} << n) - 1;

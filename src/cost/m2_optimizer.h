@@ -29,8 +29,13 @@ struct M2OptimizationResult {
   bool aborted = false;
 };
 
+// Widest rewriting the exact M2 search takes: the subset DP allocates and
+// walks 2^n states. Callers that cost request-controlled rewritings check
+// this first (the planner reports wider ones as unsupported).
+inline constexpr size_t kMaxM2Subgoals = 20;
+
 // Exact M2-optimal order for `rewriting` against `view_db`. The rewriting
-// must have at most 20 subgoals (2^n subset DP). With an active `trace`,
+// must have at most kMaxM2Subgoals subgoals. With an active `trace`,
 // emits an "optimize_m2" span recording the chosen cost and the number of
 // subsets costed.
 M2OptimizationResult OptimizeOrderM2(const ConjunctiveQuery& rewriting,

@@ -33,13 +33,14 @@ enum class FrameKind : uint8_t {
 };
 
 // Service-level disposition of a request as seen on the wire.  The first
-// four mirror PlanningService::ServiceStatus one-to-one; the rest are
-// produced by the server's protocol layer itself.
+// three mirror PlanningService::ServiceStatus one-to-one; code 3 is
+// reserved (decoded, never sent); the rest are produced by the server's
+// protocol layer itself.
 enum class WireStatus : uint8_t {
   kOk = 0,
   kRejected = 1,  // admission control said no; reject_reason says why
   kShed = 2,
-  kFailed = 3,
+  kFailed = 3,  // reserved, not sent
   kBadRequest = 4,           // unparseable query text or malformed options
   kUnsupportedVersion = 5,   // frame version ahead of the server
   kUnknownHandle = 6,        // fingerprint not in the server's handle map

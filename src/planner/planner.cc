@@ -95,6 +95,14 @@ std::string ExhaustionMessage(const BudgetExhaustion& exhaustion,
   return s;
 }
 
+// Error for a request none of whose candidate rewritings can be costed.
+std::string TooWideToCostError(CostModel model) {
+  return std::string("no candidate rewriting can be costed under ") +
+         ModelName(model) + ": each has more than " +
+         std::to_string(kMaxM2Subgoals) +
+         " subgoals, the limit of the M2 join-order search";
+}
+
 }  // namespace
 
 const char* PlanStatusName(PlanStatus status) {
@@ -330,6 +338,38 @@ std::shared_ptr<const ViewPlanner::ViewSnapshot> ViewPlanner::snapshot()
   return CurrentSnapshot();
 }
 
+std::optional<ViewPlanner::CostedPlan> ViewPlanner::CostRewriting(
+    CostModel model, const ConjunctiveQuery& logical,
+    const ConjunctiveQuery& query, const ViewSnapshot& vs,
+    const TraceContext& trace) const {
+  CostedPlan out;
+  if (model == CostModel::kM1) {
+    out.cost = CostM1(logical);
+    out.plan.rewriting = logical;
+    for (size_t i = 0; i < logical.num_subgoals(); ++i) {
+      out.plan.order.push_back(i);
+    }
+    return out;
+  }
+  if (model == CostModel::kM3 &&
+      logical.num_subgoals() <= options_.max_m3_subgoals) {
+    auto m3 = OptimizeM3(logical, query, vs.views, vs.instances, trace);
+    out.plan = std::move(m3.plan);
+    out.cost = m3.cost;
+    return out;
+  }
+  if (logical.num_subgoals() > kMaxM2Subgoals) return std::nullopt;
+  auto m2 = OptimizeOrderM2(logical, vs.instances, trace);
+  out.plan = std::move(m2.plan);
+  out.cost = m2.cost;
+  if (model == CostModel::kM3) {
+    // Too wide for the exhaustive M3 search: M2 order + SR drops.
+    out.plan.drop_after = SupplementaryDrops(logical, out.plan.order);
+    out.cost = ExecutePlan(out.plan, vs.instances).TotalCost();
+  }
+  return out;
+}
+
 bool ViewPlanner::CostAndPick(
     const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
     const std::vector<ConjunctiveQuery>& rewritings,
@@ -345,75 +385,39 @@ bool ViewPlanner::CostAndPick(
   *winner_index = 0;
   *winner_filtered = false;
   bool found = false;
+  size_t winner_slot = 0;  // the winner's position in *capture
   for (size_t r = 0; r < rewritings.size(); ++r) {
     ConjunctiveQuery logical = rewritings[r];
-    PhysicalPlan physical;
-    size_t cost = 0;
     bool filtered = false;
-    switch (model) {
-      case CostModel::kM1: {
-        cost = CostM1(logical);
-        physical.rewriting = logical;
-        for (size_t i = 0; i < logical.num_subgoals(); ++i) {
-          physical.order.push_back(i);
-        }
-        break;
-      }
-      case CostModel::kM2: {
-        if (use_filters) {
-          auto advice = AdviseFilters(logical, filter_atoms, vs.instances);
-          filtered = !advice.filters_added.empty();
-          logical = std::move(advice.improved);
-        }
-        const auto m2 =
-            OptimizeOrderM2(logical, vs.instances, span.context());
-        physical = m2.plan;
-        cost = m2.cost;
-        break;
-      }
-      case CostModel::kM3: {
-        if (use_filters) {
-          auto advice = AdviseFilters(logical, filter_atoms, vs.instances);
-          filtered = !advice.filters_added.empty();
-          logical = std::move(advice.improved);
-        }
-        if (logical.num_subgoals() <= options_.max_m3_subgoals) {
-          const auto m3 =
-              OptimizeM3(logical, query, vs.views, vs.instances,
-                         span.context());
-          physical = m3.plan;
-          cost = m3.cost;
-        } else {
-          // Too wide for the exhaustive M3 search: M2 order + SR drops.
-          const auto m2 =
-              OptimizeOrderM2(logical, vs.instances, span.context());
-          physical = m2.plan;
-          physical.drop_after = SupplementaryDrops(logical, physical.order);
-          cost = ExecutePlan(physical, vs.instances).TotalCost();
-        }
-        break;
-      }
+    if (use_filters && logical.num_subgoals() <= kMaxM2Subgoals) {
+      auto advice = AdviseFilters(logical, filter_atoms, vs.instances);
+      filtered = !advice.filters_added.empty();
+      logical = std::move(advice.improved);
     }
+    std::optional<CostedPlan> costed =
+        CostRewriting(model, logical, query, vs, span.context());
+    if (!costed.has_value()) continue;
     if (capture != nullptr) {
       PlanExplanation::Candidate candidate;
       candidate.logical = logical;
-      candidate.cost = cost;
+      candidate.cost = costed->cost;
       candidate.filtered = filtered;
       capture->push_back(std::move(candidate));
     }
-    if (!found || cost < best->cost) {
+    if (!found || costed->cost < best->cost) {
       found = true;
-      best->cost = cost;
+      best->cost = costed->cost;
       best->logical = std::move(logical);
-      best->physical = std::move(physical);
+      best->physical = std::move(costed->plan);
       *winner_index = r;
       *winner_filtered = filtered;
+      if (capture != nullptr) winner_slot = capture->size() - 1;
     }
   }
   if (capture != nullptr && found) {
-    for (size_t r = 0; r < capture->size(); ++r) {
-      PlanExplanation::Candidate& candidate = (*capture)[r];
-      if (r == *winner_index) {
+    for (size_t c = 0; c < capture->size(); ++c) {
+      PlanExplanation::Candidate& candidate = (*capture)[c];
+      if (c == winner_slot) {
         candidate.chosen = true;
         candidate.reason = "chosen";
       } else {
@@ -487,9 +491,13 @@ ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
   PlanChoice best;
   size_t winner = 0;
   bool winner_filtered = false;
-  VBR_CHECK(CostAndPick(vs, query, model, mc.equivalent_rewritings, {}, &best,
-                        &winner, &winner_filtered, span.context(),
-                        explain != nullptr ? &explain->candidates : nullptr));
+  if (!CostAndPick(vs, query, model, mc.equivalent_rewritings, {}, &best,
+                   &winner, &winner_filtered, span.context(),
+                   explain != nullptr ? &explain->candidates : nullptr)) {
+    out.status = PlanStatus::kUnsupportedQueryTooLarge;
+    out.error = TooWideToCostError(model);
+    return out;
+  }
   // MiniCon's equivalence filter already verified the winner, but PlanChoice
   // promises a transportable certificate; build one under the same grace
   // budget (if even that dies, report exhaustion rather than an
@@ -564,6 +572,9 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
   }
 
   if (explain != nullptr) explain->minimized = result.minimized_query;
+  PlanChoice best;
+  size_t winner = 0;
+  bool winner_filtered = false;
   if (result.status == CoreCoverStatus::kUnsupportedQueryTooLarge) {
     out.status = PlanStatus::kUnsupportedQueryTooLarge;
     out.error = result.error;
@@ -575,15 +586,16 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
     } else {
       out.status = PlanStatus::kNoRewriting;
     }
-  } else {
-    PlanChoice best;
-    size_t winner = 0;
-    bool winner_filtered = false;
-    // Under an exhausted budget the optimizers abort and report SIZE_MAX
-    // costs, so the pick degrades toward emission order but stays total.
-    VBR_CHECK(CostAndPick(vs, query, model, result.rewritings, filter_atoms,
+  } else if (!CostAndPick(vs, query, model, result.rewritings, filter_atoms,
                           &best, &winner, &winner_filtered, cc_options.trace,
-                          explain != nullptr ? &explain->candidates : nullptr));
+                          explain != nullptr ? &explain->candidates
+                                             : nullptr)) {
+    // Under an exhausted budget the optimizers abort and report SIZE_MAX
+    // costs, so the pick degrades toward emission order but stays total;
+    // only rewritings too wide to cost at all leave nothing to pick.
+    out.status = PlanStatus::kUnsupportedQueryTooLarge;
+    out.error = TooWideToCostError(model);
+  } else {
     // Certify the winner against the minimized core (the certificate covers
     // the logical plan; the M3 physical plan may execute a renamed variant,
     // proven answer-equal by the optimizer's renaming-safety test).
@@ -681,9 +693,13 @@ ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
   PlanChoice best;
   size_t winner = 0;
   bool winner_filtered = false;
-  VBR_CHECK(CostAndPick(vs, query, model, rewritings, filter_atoms, &best,
-                        &winner, &winner_filtered, trace,
-                        explain != nullptr ? &explain->candidates : nullptr));
+  if (!CostAndPick(vs, query, model, rewritings, filter_atoms, &best, &winner,
+                   &winner_filtered, trace,
+                   explain != nullptr ? &explain->candidates : nullptr)) {
+    out.status = PlanStatus::kUnsupportedQueryTooLarge;
+    out.error = TooWideToCostError(model);
+    return out;
+  }
 
   // Certificate: reuse the cached one when the winner is the bare cached
   // rewriting (re-verified after transport — transport is a pure renaming,
@@ -884,52 +900,23 @@ ViewPlanner::PlanExplanation ViewPlanner::Explain(
 
   // Re-measure the chosen logical plan under all three cost models so the
   // explanation can contrast them (the planning decision above used only
-  // the requested model).
+  // the requested model). A model the rewriting is too wide for is left
+  // out. M3's renaming-safety test runs against the minimized core, which
+  // is equivalent to the query, so it accepts the same drops.
   const ConjunctiveQuery& logical = result.choice->logical;
-  {
+  for (const CostModel measured :
+       {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+    const std::optional<CostedPlan> costed =
+        CostRewriting(measured, logical, explain.minimized, vs, {});
+    if (!costed.has_value()) continue;
     PlanExplanation::ModelBreakdown b;
-    b.model = CostModel::kM1;
-    b.cost = CostM1(logical);
-    PhysicalPlan plan;
-    plan.rewriting = logical;
-    for (size_t i = 0; i < logical.num_subgoals(); ++i) {
-      plan.order.push_back(i);
-    }
-    b.order = plan.order;
-    const PlanExecution exec = ExecutePlan(plan, vs.instances);
+    b.model = measured;
+    b.cost = costed->cost;
+    b.order = costed->plan.order;
+    const PlanExecution exec = ExecutePlan(costed->plan, vs.instances);
     b.relation_sizes = exec.relation_sizes;
-    explain.breakdown.push_back(std::move(b));
-  }
-  {
-    const auto m2 = OptimizeOrderM2(logical, vs.instances);
-    PlanExplanation::ModelBreakdown b;
-    b.model = CostModel::kM2;
-    b.cost = m2.cost;
-    b.order = m2.plan.order;
-    const PlanExecution exec = ExecutePlan(m2.plan, vs.instances);
-    b.relation_sizes = exec.relation_sizes;
-    b.state_sizes = exec.state_sizes;
-    explain.breakdown.push_back(std::move(b));
-  }
-  {
-    PlanExplanation::ModelBreakdown b;
-    b.model = CostModel::kM3;
-    PhysicalPlan plan;
-    if (logical.num_subgoals() <= options_.max_m3_subgoals) {
-      const auto m3 =
-          OptimizeM3(logical, explain.minimized, vs.views, vs.instances);
-      b.cost = m3.cost;
-      plan = m3.plan;
-    } else {
-      const auto m2 = OptimizeOrderM2(logical, vs.instances);
-      plan = m2.plan;
-      plan.drop_after = SupplementaryDrops(logical, plan.order);
-      b.cost = ExecutePlan(plan, vs.instances).TotalCost();
-    }
-    b.order = plan.order;
-    const PlanExecution exec = ExecutePlan(plan, vs.instances);
-    b.relation_sizes = exec.relation_sizes;
-    b.state_sizes = exec.state_sizes;
+    // M1 counts subgoals; its intermediate sizes are not part of its cost.
+    if (measured != CostModel::kM1) b.state_sizes = exec.state_sizes;
     explain.breakdown.push_back(std::move(b));
   }
   return explain;

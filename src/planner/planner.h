@@ -403,11 +403,28 @@ class ViewPlanner {
                            const Substitution& transport,
                            const TraceContext& trace = {},
                            PlanExplanation* explain = nullptr) const;
-  // Shared costing loop: picks the cheapest candidate under `model`
-  // against the snapshot's instances. Returns false if `rewritings` is
-  // empty. With an active `trace`, emits a "cost_and_pick" span (with
-  // optimizer child spans); with a non-null `capture`, appends one
-  // Candidate per rewriting.
+  // A physical plan for one logical rewriting and its cost.
+  struct CostedPlan {
+    PhysicalPlan plan;
+    size_t cost = 0;
+  };
+  // The one costing function, shared by planning and Explain: costs
+  // `logical` under `model` against the snapshot's instances. M1 counts
+  // subgoals in written order; M2 runs the exact subset DP; M3 runs the
+  // exhaustive order/drop search (renaming-safety checked against `query`)
+  // up to max_m3_subgoals and the M2 order plus SR drops beyond. Returns
+  // nullopt when an M2/M3 rewriting is wider than kMaxM2Subgoals.
+  std::optional<CostedPlan> CostRewriting(CostModel model,
+                                          const ConjunctiveQuery& logical,
+                                          const ConjunctiveQuery& query,
+                                          const ViewSnapshot& vs,
+                                          const TraceContext& trace) const;
+  // Shared costing loop: runs filter advice (M2/M3) and CostRewriting on
+  // each candidate and picks the cheapest. Returns false if no candidate
+  // could be costed (`rewritings` empty, or every one too wide). With an
+  // active `trace`, emits a "cost_and_pick" span (with optimizer child
+  // spans); with a non-null `capture`, appends one Candidate per costed
+  // rewriting.
   bool CostAndPick(const ViewSnapshot& vs, const ConjunctiveQuery& query,
                    CostModel model,
                    const std::vector<ConjunctiveQuery>& rewritings,

@@ -1,7 +1,6 @@
 #include "planner/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -22,14 +21,11 @@ struct ServiceMetrics {
   Counter* rejected;
   Counter* completed;
   Counter* shed;
-  Counter* failed;
-  Counter* retries;
   Counter* probes;
   Counter* deadline_misses;
   Counter* cache_only_hits;
   Counter* model_demotions;
   Histogram* queue_wait_us;
-  Histogram* queue_wait_ms;
   Histogram* serve_us;
 
   static const ServiceMetrics& Get() {
@@ -41,18 +37,11 @@ struct ServiceMetrics {
       m.rejected = registry.GetCounter("service.rejected");
       m.completed = registry.GetCounter("service.completed");
       m.shed = registry.GetCounter("service.shed");
-      m.failed = registry.GetCounter("service.failed");
-      m.retries = registry.GetCounter("service.retries");
       m.probes = registry.GetCounter("service.probes");
       m.deadline_misses = registry.GetCounter("service.deadline_misses");
       m.cache_only_hits = registry.GetCounter("service.cache_only_hits");
       m.model_demotions = registry.GetCounter("service.model_demotions");
       m.queue_wait_us = registry.GetHistogram("service.queue_wait_us");
-      // Millisecond-resolution twin of queue_wait_us, recorded for EVERY
-      // dequeued request (served, expired, or shutdown-shed) so the
-      // saturation bench can read queue pressure without instrumenting
-      // callers.
-      m.queue_wait_ms = registry.GetHistogram("service.queue_wait_ms");
       m.serve_us = registry.GetHistogram("service.serve_us");
       return m;
     }();
@@ -83,8 +72,6 @@ const char* PlanningService::ServiceStatusName(ServiceStatus status) {
       return "rejected";
     case ServiceStatus::kShed:
       return "shed";
-    case ServiceStatus::kFailed:
-      return "failed";
   }
   return "unknown";
 }
@@ -111,13 +98,11 @@ std::string PlanningService::Stats::ToString() const {
       << "service.admitted " << admitted << "\n"
       << "service.completed " << completed << "\n"
       << "service.shed " << shed << "\n"
-      << "service.failed " << failed << "\n"
       << "service.rejected " << rejected << "\n"
       << "service.rejected_queue_full " << rejected_queue_full << "\n"
       << "service.rejected_deadline " << rejected_deadline << "\n"
       << "service.rejected_overload " << rejected_overload << "\n"
       << "service.rejected_shutdown " << rejected_shutdown << "\n"
-      << "service.retries " << retries << "\n"
       << "service.probes " << probes << "\n"
       << "service.deadline_misses " << deadline_misses << "\n"
       << "service.cache_only_hits " << cache_only_hits << "\n"
@@ -135,12 +120,12 @@ std::string PlanningService::Stats::ToJson() const {
   std::ostringstream out;
   out << "{\"submitted\":" << submitted << ",\"admitted\":" << admitted
       << ",\"completed\":" << completed << ",\"shed\":" << shed
-      << ",\"failed\":" << failed << ",\"rejected\":" << rejected
+      << ",\"rejected\":" << rejected
       << ",\"rejected_queue_full\":" << rejected_queue_full
       << ",\"rejected_deadline\":" << rejected_deadline
       << ",\"rejected_overload\":" << rejected_overload
       << ",\"rejected_shutdown\":" << rejected_shutdown
-      << ",\"retries\":" << retries << ",\"probes\":" << probes
+      << ",\"probes\":" << probes
       << ",\"deadline_misses\":" << deadline_misses
       << ",\"cache_only_hits\":" << cache_only_hits
       << ",\"model_demotions\":" << model_demotions
@@ -177,8 +162,6 @@ PlanningService::PlanningService(const ViewPlanner* planner, Options options)
   VBR_CHECK_MSG(planner_ != nullptr, "service needs a planner");
   VBR_CHECK_MSG(options_.num_workers >= 1, "service needs a worker");
   VBR_CHECK_MSG(options_.max_queue >= 1, "service needs a queue slot");
-  VBR_CHECK_MSG(options_.retry.max_attempts >= 1,
-                "retry.max_attempts counts the first attempt");
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -268,7 +251,6 @@ std::future<PlanningService::PlanResponse> PlanningService::SubmitInternal(
       queued->promise = std::move(promise);
       queued->callback = std::move(done);
       queued->probe = probe;
-      queued->id = next_id_++;
       queue_.push_back(std::move(queued));
       VBR_CHECK(queue_.size() <= options_.max_queue);
       metrics.admitted->Increment();
@@ -335,10 +317,9 @@ void PlanningService::WorkerLoop() {
       queue_.pop_front();
       shed_pending = stopping_ && drain_mode_ == DrainMode::kShedPending;
     }
-    // Every dequeued request records its queue wait, whatever its fate —
-    // the ms histogram is the saturation bench's queue-pressure signal.
-    ServiceMetrics::Get().queue_wait_ms->Record(
-        static_cast<uint64_t>(request->queued.ElapsedMillis()));
+    // Every dequeued request records its queue wait, whatever its fate.
+    ServiceMetrics::Get().queue_wait_us->Record(
+        static_cast<uint64_t>(request->queued.ElapsedMillis() * 1000.0));
     if (shed_pending) {
       // Shutdown policy, not a health signal: do not feed the breaker.
       Shed(*request, "shutdown shed the pending queue",
@@ -355,7 +336,7 @@ uint32_t PlanningService::EffectiveLevel() const {
   return std::min(breaker_.level(), breaker_.reject_level() - 1);
 }
 
-ResourceLimits PlanningService::AttemptLimits(
+ResourceLimits PlanningService::PlanLimits(
     uint32_t level, double remaining_ms,
     const PlanRequestOptions& request) const {
   // Service-wide cap tightened by the request's own budget: a client can
@@ -399,7 +380,6 @@ void PlanningService::Shed(Request& request, const std::string& why,
 void PlanningService::Serve(Request& request) {
   const ServiceMetrics& metrics = ServiceMetrics::Get();
   const double waited_ms = request.queued.ElapsedMillis();
-  metrics.queue_wait_us->Record(static_cast<uint64_t>(waited_ms * 1000.0));
   const double deadline_ms = request.request.options.deadline_ms;
   if (deadline_ms > 0 && waited_ms >= deadline_ms) {
     // Too late to be useful; shedding now is cheaper than planning a result
@@ -449,83 +429,43 @@ void PlanningService::Serve(Request& request) {
     }
   }
 
-  uint32_t attempts = 0;
   if (!served) {
-    for (;;) {
-      ++attempts;
-      const double remaining_ms =
-          deadline_ms > 0
-              ? std::max(0.001, deadline_ms - request.queued.ElapsedMillis())
-              : 0;
-      const ResourceLimits limits =
-          AttemptLimits(level, remaining_ms, request.request.options);
-      // Rung 2 (and the deadline) act through the governor installed here;
-      // the planner's own Options::budget is typically unlimited in service
-      // deployments, so this governor is the one its pipeline observes.
-      std::optional<ResourceGovernor> governor;
-      std::optional<GovernorScope> scope;
-      if (!limits.unlimited()) {
-        governor.emplace(limits);
-        scope.emplace(&*governor);
-      }
-      response.result = planner_->Plan(request.request.query, model, trace);
-      const bool transient =
-          response.result.status == PlanStatus::kBudgetExhausted &&
-          response.result.exhaustion.kind == BudgetKind::kInjected;
-      if (!transient || attempts >= options_.retry.max_attempts) break;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.retries;
-      }
-      metrics.retries->Increment();
-      const double delay_ms =
-          options_.retry.DelayMs(attempts, options_.retry_seed + request.id);
-      if (options_.sleep_ms) {
-        options_.sleep_ms(delay_ms);
-      } else if (delay_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-      }
+    const double remaining_ms =
+        deadline_ms > 0
+            ? std::max(0.001, deadline_ms - request.queued.ElapsedMillis())
+            : 0;
+    const ResourceLimits limits =
+        PlanLimits(level, remaining_ms, request.request.options);
+    // Rung 2 (and the deadline) act through the governor installed here;
+    // the planner's own Options::budget is typically unlimited in service
+    // deployments, so this governor is the one its pipeline observes.
+    std::optional<ResourceGovernor> governor;
+    std::optional<GovernorScope> scope;
+    if (!limits.unlimited()) {
+      governor.emplace(limits);
+      scope.emplace(&*governor);
     }
+    response.result = planner_->Plan(request.request.query, model, trace);
+    response.attempts = 1;
   }
-  response.attempts = attempts;
 
-  // Terminal classification. A transient (injected) fault that survived
-  // every retry is a service FAILURE; genuine budget exhaustion is an
-  // answer (the caller gets the planner's account), though it still feeds
-  // the breaker as a degradation signal.
-  const bool persistent_fault =
-      !served && response.result.status == PlanStatus::kBudgetExhausted &&
-      response.result.exhaustion.kind == BudgetKind::kInjected;
-  bool breaker_failure;
-  if (persistent_fault) {
-    response.status = ServiceStatus::kFailed;
-    response.error = "transient fault persisted across " +
-                     std::to_string(attempts) + " attempts: " +
-                     response.result.error;
-    breaker_failure = true;
-  } else {
-    response.status = ServiceStatus::kOk;
-    breaker_failure =
-        response.result.status == PlanStatus::kBudgetExhausted;
-  }
+  // Budget exhaustion — an injected fault included — is an answer (the
+  // caller gets the planner's account), but it feeds the breaker as a
+  // degradation signal.
+  response.status = ServiceStatus::kOk;
   const double total_ms = request.queued.ElapsedMillis();
   const bool missed_deadline = deadline_ms > 0 && total_ms > deadline_ms;
-  if (missed_deadline) breaker_failure = true;
+  const bool breaker_failure =
+      response.result.status == PlanStatus::kBudgetExhausted ||
+      missed_deadline;
 
   const double serve_ms = serve_timer.ElapsedMillis();
   metrics.serve_us->Record(static_cast<uint64_t>(serve_ms * 1000.0));
   if (missed_deadline) metrics.deadline_misses->Increment();
-  (response.status == ServiceStatus::kOk ? metrics.completed
-                                         : metrics.failed)
-      ->Increment();
+  metrics.completed->Increment();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (response.status == ServiceStatus::kOk) {
-      ++stats_.completed;
-    } else {
-      ++stats_.failed;
-    }
+    ++stats_.completed;
     if (missed_deadline) ++stats_.deadline_misses;
     // EWMA of observed service times, feeding the admission estimate.
     ewma_service_ms_ =
@@ -540,11 +480,7 @@ void PlanningService::Serve(Request& request) {
 
   if (span) {
     span->AddAttribute("status", ServiceStatusName(response.status));
-    span->AddAttribute("attempts", static_cast<uint64_t>(attempts));
-    if (response.status == ServiceStatus::kOk) {
-      span->AddAttribute("plan_status",
-                         PlanStatusName(response.result.status));
-    }
+    span->AddAttribute("plan_status", PlanStatusName(response.result.status));
     // Flush before fulfilling the promise: once the future is ready the
     // caller may tear the sink down.
     span.reset();

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/budget.h"
 #include "common/circuit_breaker.h"
 #include "common/timer.h"
@@ -40,10 +39,8 @@ namespace vbr {
 //    circuit breaker has opened),
 //  * a fixed pool of worker threads (the concurrency limiter),
 //  * per-request resource budgets derived from the request deadline and
-//    installed as a ResourceGovernor around the planner call,
-//  * jittered exponential-backoff retries for TRANSIENTLY faulted requests
-//    (injected faults, BudgetKind::kInjected) — genuine budget exhaustion
-//    is not transient and is never retried,
+//    installed as a ResourceGovernor around the planner call, which runs
+//    exactly once per admitted request,
 //  * a multi-level circuit breaker (common/circuit_breaker.h) that walks a
 //    brown-out ladder under sustained failure: full planning -> shed
 //    tracing -> shrunken budgets -> cached-or-M1-only -> reject, and
@@ -53,21 +50,21 @@ namespace vbr {
 // Accounting invariant (asserted by tests/service/stress_harness_test.cc):
 //
 //   submitted == admitted + rejected
-//   admitted  == completed + shed + failed
+//   admitted  == completed + shed
 //
 // `rejected` requests never entered the queue; `shed` requests were
 // admitted but dropped without planning (queue-deadline expiry, shutdown
-// shedding); `failed` requests exhausted their retry budget on a transient
-// fault; everything else completes with the planner's own PlanResult
+// shedding); everything else completes with the planner's own PlanResult
 // (including kBudgetExhausted and kNoRewriting — those are answers, not
-// service failures, though exhaustion does feed the breaker).
+// service failures, though exhaustion does feed the breaker). A budget
+// that dies on an injected fault (BudgetKind::kInjected) is exhaustion like
+// any other: it is not retried here; clients that want retries over the
+// wire use net/resilient_client.h.
 //
-// Determinism: the service itself introduces two nondeterministic inputs —
-// wall-clock deadlines and retry sleeps. Tests neutralize both: deadlines
-// are optional (and the admission estimate can be pinned via
-// `assumed_service_ms`), and the retry sleep is injectable (`sleep_ms`), so
-// a test can capture delays instead of sleeping. The breaker and the
-// backoff schedule are clock- and RNG-free by construction.
+// Determinism: the service's one nondeterministic input is the wall-clock
+// deadline. Deadlines are optional, and the admission estimate can be
+// pinned via `assumed_service_ms`; the breaker is clock- and RNG-free by
+// construction.
 class PlanningService {
  public:
   // Service-level disposition of one request. The planner-level outcome
@@ -81,9 +78,6 @@ class PlanningService {
     // Admitted, then dropped without planning: its deadline expired while
     // queued, or shutdown shed the backlog.
     kShed,
-    // Admitted and planned, but every attempt died on a transient
-    // (injected) fault and the retry budget ran out.
-    kFailed,
   };
 
   enum class RejectReason {
@@ -122,7 +116,8 @@ class PlanningService {
     RejectReason reject_reason = RejectReason::kNone;
     // The planner's outcome; meaningful only when status == kOk.
     ViewPlanner::PlanResult result;
-    // Planning attempts made (1 + retries); 0 when never planned.
+    // 1 when the request reached ViewPlanner::Plan; 0 when it was
+    // rejected, shed, or answered by the cached-or-M1-only rung's cache.
     uint32_t attempts = 0;
     // Brown-out level the request was served at (0 = full service).
     uint32_t service_level = 0;
@@ -157,12 +152,6 @@ class PlanningService {
     // times (the check is skipped until one completes); > 0 pins the
     // estimate, which tests use for deterministic admission decisions.
     double assumed_service_ms = 0;
-    // Retry schedule for transiently faulted requests. max_attempts counts
-    // ALL attempts (first try included).
-    BackoffPolicy retry;
-    // Seed for the backoff jitter (combined with the request id, so every
-    // request gets its own deterministic schedule).
-    uint64_t retry_seed = 0x5eed;
     // Brown-out ladder breaker.
     CircuitBreakerOptions breaker;
     // Service-wide budget CAP installed (as a ResourceGovernor) around
@@ -174,9 +163,6 @@ class PlanningService {
     // The SHRUNKEN budget applied at brown-out level >= 2: each limit is
     // the stricter of `budget` and this (0 fields inherit `budget`).
     ResourceLimits brownout_budget = ShrunkenDefault();
-    // Injectable retry sleep, for tests; null sleeps the calling worker
-    // with std::this_thread::sleep_for.
-    std::function<void(double /*delay_ms*/)> sleep_ms;
     // When set, every submission (admitted or not) appends one VBIN
     // request record — query + its own PlanRequestOptions, pre-merge — to
     // this log (planner/snapshot.h), giving a replayable trace of the
@@ -201,13 +187,11 @@ class PlanningService {
     uint64_t admitted = 0;
     uint64_t completed = 0;
     uint64_t shed = 0;
-    uint64_t failed = 0;
     uint64_t rejected = 0;
     uint64_t rejected_queue_full = 0;
     uint64_t rejected_deadline = 0;
     uint64_t rejected_overload = 0;
     uint64_t rejected_shutdown = 0;
-    uint64_t retries = 0;
     uint64_t probes = 0;
     uint64_t deadline_misses = 0;  // completed, but past their deadline
     uint64_t cache_only_hits = 0;
@@ -277,7 +261,6 @@ class PlanningService {
     std::function<void(PlanResponse)> callback;
     Timer queued;       // started at admission
     bool probe = false; // admitted as a half-open breaker probe
-    uint64_t id = 0;
   };
 
   // Shared admission path behind Submit / SubmitWithCallback.
@@ -287,18 +270,18 @@ class PlanningService {
   static void Fulfill(Request& request, PlanResponse response);
 
   void WorkerLoop();
-  // Plans one admitted request end to end (ladder, budget, retries) and
-  // fulfils its promise. Called on a worker thread.
+  // Plans one admitted request end to end (ladder, budget) and fulfils its
+  // promise. Called on a worker thread.
   void Serve(Request& request);
   // Resolves `request` as kShed with `why`, updating accounting.
   void Shed(Request& request, const std::string& why, bool record_failure);
   // The effective brown-out rung for a request about to be planned.
   uint32_t EffectiveLevel() const;
-  // The governor limits for one attempt at `level`: the service-wide cap
+  // The governor limits for planning at `level`: the service-wide cap
   // tightened by the request's own budget (stricter-wins) and, when the
   // request has a deadline, by the `remaining_ms` it has left (0 = none).
-  ResourceLimits AttemptLimits(uint32_t level, double remaining_ms,
-                               const PlanRequestOptions& request) const;
+  ResourceLimits PlanLimits(uint32_t level, double remaining_ms,
+                            const PlanRequestOptions& request) const;
 
   const ViewPlanner* const planner_;
   const Options options_;
@@ -310,7 +293,6 @@ class PlanningService {
   bool stopping_ = false;                       // guarded by mu_
   DrainMode drain_mode_ = DrainMode::kDrain;    // guarded by mu_
   bool joined_ = false;                         // guarded by mu_
-  uint64_t next_id_ = 0;                        // guarded by mu_
   Stats stats_;                                 // guarded by mu_
   double ewma_service_ms_ = 0;                  // guarded by mu_
   bool ewma_valid_ = false;                     // guarded by mu_

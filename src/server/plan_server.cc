@@ -48,13 +48,9 @@ net::PlanResponseFrame ToWire(const PlanningService::PlanResponse& response,
     case PlanningService::ServiceStatus::kShed:
       frame.status = WireStatus::kShed;
       break;
-    case PlanningService::ServiceStatus::kFailed:
-      frame.status = WireStatus::kFailed;
-      break;
   }
   frame.reject_reason = static_cast<uint8_t>(response.reject_reason);
-  frame.attempts = static_cast<uint8_t>(
-      response.attempts > 255 ? 255 : response.attempts);
+  frame.attempts = static_cast<uint8_t>(response.attempts);
   frame.service_level = response.service_level;
   frame.served_from_cache_only = response.served_from_cache_only;
   frame.model_demoted = response.model_demoted;
@@ -89,8 +85,6 @@ int HttpCodeFor(const PlanningService::PlanResponse& response) {
                  : 429;
     case PlanningService::ServiceStatus::kShed:
       return 503;
-    case PlanningService::ServiceStatus::kFailed:
-      return 500;
   }
   return 500;
 }

@@ -8,8 +8,9 @@
 //     and a socketpair wakeup channel.  All reads, writes, frame parsing,
 //     and HTTP parsing happen on this thread; it never plans.
 //   - Planning goes through PlanningService::SubmitWithCallback, so
-//     admission control, deadlines, the brown-out ladder, and retries apply
-//     to wire requests exactly as to in-process ones.  The completion
+//     admission control, deadlines, and the brown-out ladder apply to wire
+//     requests exactly as to in-process ones (each admitted request is
+//     planned once; retrying is the client's call).  The completion
 //     callback (worker thread) encodes the response frame and posts it to a
 //     completion queue; one byte on the socketpair wakes the IO thread to
 //     flush it to the right connection.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/budget.h"
 #include "cost/m2_optimizer.h"
 #include "cq/parser.h"
 #include "engine/materialize.h"
@@ -47,6 +50,27 @@ TEST(FilterAdvisorTest, PicksBestOfSeveralFilters) {
   const auto advice = AdviseFilters(p, {half, tiny}, db);
   ASSERT_FALSE(advice.filters_added.empty());
   EXPECT_EQ(advice.filters_added[0].predicate_name(), "ftiny");
+}
+
+TEST(FilterAdvisorTest, NeverGrowsARewritingPastTheM2Limit) {
+  // A rewriting already at kMaxM2Subgoals: appending a filter would leave
+  // the M2 search's range (an abort, not a cost), so none is tried. A
+  // one-unit work budget stops each 2^20-subset DP at its first subset;
+  // only the size check matters here.
+  ResourceGovernor governor(ResourceLimits{.work_limit = 1});
+  GovernorScope scope(&governor);
+  Database db;
+  std::string text = "q(X) :- ";
+  for (size_t i = 0; i < kMaxM2Subgoals; ++i) {
+    const std::string name = "r" + std::to_string(i);
+    db.AddRow(name, {1});
+    text += (i > 0 ? ", " : "") + name + "(X)";
+  }
+  const auto p = MustParseQuery(text);
+  const Atom filter = MustParseQuery("h() :- vnone(X)").subgoal(0);
+  const auto advice = AdviseFilters(p, {filter}, db);
+  EXPECT_TRUE(advice.filters_added.empty());
+  EXPECT_EQ(advice.improved, p);
 }
 
 TEST(FilterAdvisorTest, CarLocPartP3BeatsP2WhenV3IsSelective) {

@@ -18,14 +18,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/fault_injection.h"
+#include "common/trace.h"
+#include "cq/parser.h"
 #include "cq/rename.h"
 #include "cq/substitution.h"
+#include "engine/io.h"
 #include "engine/materialize.h"
 #include "net/frame.h"
 #include "net/load_driver.h"
@@ -40,8 +44,6 @@ namespace {
 
 using net::DecodeStatus;
 using net::WireStatus;
-
-constexpr char kFaultSite[] = "corecover.view_tuples";
 
 // Two identically configured planner+service stacks over one generated
 // workload: `served` sits behind the PlanServer, `reference` is driven
@@ -387,12 +389,38 @@ TEST(PlanServerTest, BadFramesGetErrorResponsesAndStreamStaysInSync) {
   EXPECT_GE(fx.server->stats().bad_frames, 2u);
 }
 
-// A client that vanishes while its request is still being planned: the
+// A trace sink that parks the worker emitting a span until Open(). Set as
+// an in-process PlanRequest::trace, it holds a one-worker service
+// mid-request while the test acts on the wire.
+class WorkerGate : public TraceSink {
+ public:
+  void OnSpanEnd(TraceEvent) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+// A client that vanishes while its request is still in flight: the
 // completion must be counted as dropped, and the server must keep serving
 // other connections.
 TEST(PlanServerTest, DisconnectMidPlanDropsTheResponseAndNothingElse) {
-  FaultRegistry::Global().Reset();
-
   WorkloadConfig wc;
   wc.shape = QueryShape::kStar;
   wc.num_query_subgoals = 4;
@@ -404,34 +432,24 @@ TEST(PlanServerTest, DisconnectMidPlanDropsTheResponseAndNothingElse) {
   dc.domain_size = 6;
   dc.seed = 131;
   const Database base = GenerateBaseData(workload.query, workload.views, dc);
-  ViewPlanner::Options planner_options;
-  planner_options.enable_minicon_fallback = false;
-  ViewPlanner planner(workload.views,
-                      MaterializeViews(workload.views, base),
-                      planner_options);
+  ViewPlanner planner(workload.views, MaterializeViews(workload.views, base));
 
-  // One worker, parked inside the retry backoff of an injected fault while
-  // it is planning the doomed connection's request.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool open = false;
+  // One worker, parked by an in-process request's trace sink, so the
+  // doomed connection's request is admitted and waiting behind it.
   PlanningService::Options service_options;
   service_options.num_workers = 1;
-  service_options.retry.max_attempts = 2;
-  service_options.budget.work_limit = uint64_t{1} << 40;
-  service_options.sleep_ms = [&](double) {
-    std::unique_lock<std::mutex> lock(mu);
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return open; });
-  };
   PlanningService service(&planner, service_options);
   server::PlanServer server(&service, server::PlanServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
-  FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
+  WorkerGate gate;
+  PlanningService::PlanRequest blocker;
+  blocker.query = workload.query;
+  blocker.options.model = CostModel::kM2;
+  blocker.trace = &gate;
+  auto blocker_future = service.Submit(std::move(blocker));
+  gate.AwaitEntered();
   {
     net::OwnedFd doomed =
         net::ConnectTcp("127.0.0.1", server.binary_port(), &error);
@@ -443,20 +461,22 @@ TEST(PlanServerTest, DisconnectMidPlanDropsTheResponseAndNothingElse) {
     std::string wire;
     EncodePlanRequest(request, &wire);
     ASSERT_TRUE(net::WriteAll(doomed.get(), wire.data(), wire.size()));
-    // Wait until the worker is provably inside this request's retry sleep,
-    // then vanish without reading the response.
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
+    // Wait until the service has admitted this request, then vanish
+    // without reading the response.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.stats().admitted < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.stats().admitted, 2u);
   }  // doomed connection closes here
 
   // Give the IO thread a moment to observe the hangup, then release the
-  // worker so the plan completes into a missing connection.
+  // worker so the doomed plan completes into a missing connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    open = true;
-  }
-  cv.notify_all();
+  gate.Open();
+  EXPECT_EQ(blocker_future.get().status, PlanningService::ServiceStatus::kOk);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -480,11 +500,139 @@ TEST(PlanServerTest, DisconnectMidPlanDropsTheResponseAndNothingElse) {
 
   server.Stop();
   service.Shutdown();
-  FaultRegistry::Global().Reset();
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
-  EXPECT_EQ(stats.admitted, stats.completed + stats.shed + stats.failed);
+  EXPECT_EQ(stats.admitted, stats.completed + stats.shed);
+}
+
+// The 22-subgoal chain q(X0..X22) :- e(X0,X1), ..., e(X21,X22) over
+// v(A,B) :- e(A,B): its one rewriting has 22 subgoals, two more than the M2
+// join-order search takes. Under M2/M3 it must come back as a
+// kUnsupportedQueryTooLarge answer, and the server must keep serving.
+struct WideChainServer {
+  static constexpr size_t kLinks = 22;
+  std::unique_ptr<ViewPlanner> planner;
+  std::unique_ptr<PlanningService> service;
+  std::unique_ptr<server::PlanServer> server;
+
+  WideChainServer() {
+    const ViewSet views = MustParseProgram("v(A,B) :- e(A,B).");
+    const std::optional<Database> base =
+        ParseDatabase("e(1,2). e(2,3). e(3,1).");
+    planner = std::make_unique<ViewPlanner>(views,
+                                            MaterializeViews(views, *base));
+    service = std::make_unique<PlanningService>(planner.get(),
+                                                PlanningService::Options{});
+    server = std::make_unique<server::PlanServer>(service.get(),
+                                                  server::PlanServerOptions{});
+    std::string error;
+    if (!server->Start(&error)) {
+      ADD_FAILURE() << "server start failed: " << error;
+    }
+  }
+  ~WideChainServer() {
+    server->Stop();
+    service->Shutdown();
+  }
+
+  static std::string ChainText(size_t links) {
+    std::string head = "q(X0";
+    std::string body;
+    for (size_t i = 0; i < links; ++i) {
+      head += ",X" + std::to_string(i + 1);
+      if (i > 0) body += ", ";
+      body += "e(X" + std::to_string(i) + ",X" + std::to_string(i + 1) + ")";
+    }
+    return head + ") :- " + body;
+  }
+};
+
+// Sends one HTTP request on a fresh connection that the server closes
+// after responding, and returns everything it wrote back.
+std::string HttpExchange(uint16_t port, const std::string& request) {
+  std::string error;
+  net::OwnedFd fd = net::ConnectTcp("127.0.0.1", port, &error);
+  if (!fd.valid() || !net::WriteAll(fd.get(), request.data(), request.size())) {
+    ADD_FAILURE() << "http connect/write failed: " << error;
+    return "";
+  }
+  std::string response;
+  char chunk[8192];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const net::IoResult r = net::ReadSome(fd.get(), chunk, sizeof(chunk));
+    if (r.status == net::IoStatus::kOk) {
+      response.append(chunk, r.n);
+    } else if (r.status == net::IoStatus::kWouldBlock) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      break;
+    }
+  }
+  return response;
+}
+
+std::string HttpPlanRequest(const std::string& query, const char* model) {
+  const std::string body = "{\"query\":\"" + query +
+                           "\",\"options\":{\"model\":\"" + model + "\"}}";
+  return "POST /plan HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+         "Content-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+TEST(PlanServerTest, ChainTooWideToCostIsAnUnsupportedStatusOverBinary) {
+  WideChainServer fx;
+  std::string error;
+  net::OwnedFd fd =
+      net::ConnectTcp("127.0.0.1", fx.server->binary_port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  std::string buffer;
+  for (const CostModel model : {CostModel::kM2, CostModel::kM3}) {
+    net::PlanRequestFrame request;
+    request.request_id = 1;
+    request.options.model = model;
+    request.query_text = WideChainServer::ChainText(WideChainServer::kLinks);
+    net::PlanResponseFrame response;
+    ASSERT_TRUE(RoundTrip(fd.get(), request, &response, &buffer));
+    EXPECT_EQ(response.status, WireStatus::kOk) << response.error;
+    EXPECT_EQ(response.plan_status,
+              static_cast<uint8_t>(PlanStatus::kUnsupportedQueryTooLarge));
+    EXPECT_NE(response.error.find("20 subgoals"), std::string::npos)
+        << response.error;
+    EXPECT_TRUE(response.rewriting.empty());
+  }
+
+  // The same connection keeps serving: a short chain plans under M2.
+  net::PlanRequestFrame request;
+  request.request_id = 2;
+  request.options.model = CostModel::kM2;
+  request.query_text = WideChainServer::ChainText(3);
+  net::PlanResponseFrame response;
+  ASSERT_TRUE(RoundTrip(fd.get(), request, &response, &buffer));
+  EXPECT_EQ(response.status, WireStatus::kOk) << response.error;
+  EXPECT_EQ(response.plan_status, static_cast<uint8_t>(PlanStatus::kOk));
+  EXPECT_FALSE(response.rewriting.empty());
+}
+
+TEST(PlanServerTest, ChainTooWideToCostIsAnUnsupportedStatusOverHttp) {
+  WideChainServer fx;
+  const std::string wide = HttpExchange(
+      fx.server->http_port(),
+      HttpPlanRequest(WideChainServer::ChainText(WideChainServer::kLinks),
+                      "m2"));
+  EXPECT_NE(wide.find("HTTP/1.1 200"), std::string::npos) << wide;
+  EXPECT_NE(wide.find("\"status\":\"unsupported query (too large)\""),
+            std::string::npos)
+      << wide;
+  EXPECT_NE(wide.find("20 subgoals"), std::string::npos) << wide;
+
+  const std::string narrow = HttpExchange(
+      fx.server->http_port(),
+      HttpPlanRequest(WideChainServer::ChainText(3), "m2"));
+  EXPECT_NE(narrow.find("HTTP/1.1 200"), std::string::npos) << narrow;
+  EXPECT_NE(narrow.find("\"status\":\"ok\""), std::string::npos) << narrow;
 }
 
 TEST(PlanServerTest, LoadDriverFloodLosesNothing) {
@@ -506,13 +654,12 @@ TEST(PlanServerTest, LoadDriverFloodLosesNothing) {
   // Every response is one of the service dispositions; under flood some
   // may be shed or rejected, but all are answered.
   EXPECT_EQ(report.received,
-            report.by_status[0] + report.by_status[1] + report.by_status[2] +
-                report.by_status[3]);
+            report.by_status[0] + report.by_status[1] + report.by_status[2]);
 
   // Accounting holds at the service once the driver has drained.
   const auto stats = fx.served->stats();
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
-  EXPECT_EQ(stats.admitted, stats.completed + stats.shed + stats.failed);
+  EXPECT_EQ(stats.admitted, stats.completed + stats.shed);
 }
 
 // HTTP "Connection: close" on /plan: the completion flush closes the

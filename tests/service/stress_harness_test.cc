@@ -5,25 +5,26 @@
 //    absorb, driving admission control (queue-full, unmeetable-deadline)
 //    and the circuit breaker's brown-out ladder;
 //  * INJECTED FAULTS — deterministic kStageAbort faults
-//    (common/fault_injection.h) that surface as transient
-//    BudgetKind::kInjected exhaustion, driving the retry/backoff path;
+//    (common/fault_injection.h) that surface as BudgetKind::kInjected
+//    exhaustion: answered once, fed to the breaker;
 //  * CONCURRENT RECONFIGURATION — ReplaceViews racing in-flight requests,
 //    validating the planner's RCU snapshots end to end.
 //
 // Every test closes with the service accounting invariants:
 //
 //   submitted == admitted + rejected
-//   admitted  == completed + shed + failed
+//   admitted  == completed + shed
 //
 // and every future returned by Submit must be terminal exactly once —
 // .get() hangs on a lost request and throws on a double-completed one, so
 // the invariant is enforced by construction. Certificates of every kOk
 // response are re-verified with the search-free checker.
 //
-// Determinism: the serial tests (retries, ladder walk) run one worker, a
-// single-threaded planner, and a captured sleep hook, so fault crossings,
-// backoff delays, and the breaker trajectory are exact. The multi-threaded
-// overload tests assert invariants only, never specific interleavings.
+// Determinism: the serial tests (injected fault, ladder walk) run one
+// worker, so fault crossings and the breaker trajectory are exact. Tests
+// that need the worker held mid-request park it in a blocking trace sink
+// (WorkerGate). The multi-threaded overload tests assert invariants only,
+// never specific interleavings.
 
 #include <gtest/gtest.h>
 
@@ -98,7 +99,7 @@ PlanningService::Options SerialServiceOptions() {
 
 void ExpectInvariants(const PlanningService::Stats& stats) {
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
-  EXPECT_EQ(stats.admitted, stats.completed + stats.shed + stats.failed);
+  EXPECT_EQ(stats.admitted, stats.completed + stats.shed);
   EXPECT_EQ(stats.rejected, stats.rejected_queue_full +
                                 stats.rejected_deadline +
                                 stats.rejected_overload +
@@ -112,91 +113,66 @@ class StressHarnessTest : public ::testing::Test {
   void TearDown() override { FaultRegistry::Global().Reset(); }
 };
 
-// A gate the injectable sleep hook parks a worker thread on, so tests can
-// hold the (single) worker mid-request while they shape the queue.
-struct WorkerGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool open = false;
-
-  void Park() {
-    std::unique_lock<std::mutex> lock(mu);
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [this] { return open; });
+// A trace sink that parks the worker emitting a span until Open(). Set as
+// an in-process PlanRequest::trace, it holds the (single) worker mid-request
+// while a test shapes the queue.
+class WorkerGate : public TraceSink {
+ public:
+  void OnSpanEnd(TraceEvent) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
   }
   void AwaitEntered() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return entered; });
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
   }
   void Open() {
-    std::lock_guard<std::mutex> lock(mu);
-    open = true;
-    cv.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
   }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
 };
 
-TEST_F(StressHarnessTest, TransientFaultIsRetriedWithDeterministicBackoff) {
+// An injected fault is exhaustion like any other: the request is planned
+// once, answered kOk carrying the planner's kBudgetExhausted account, and
+// counted by the breaker as one failure; the next request plans cleanly.
+TEST_F(StressHarnessTest, InjectedFaultIsAnsweredOnceAndFeedsTheBreaker) {
   ServiceFixture fx(7);
-  PlanningService::Options options = SerialServiceOptions();
-  options.retry.max_attempts = 3;
-  options.retry_seed = 99;
-  std::vector<double> delays;
-  options.sleep_ms = [&delays](double ms) { delays.push_back(ms); };
-  PlanningService service(fx.planner.get(), options);
+  PlanningService service(fx.planner.get(), SerialServiceOptions());
 
   FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-  const auto response = service.Plan(fx.workload.query, CostModel::kM2);
+  const auto faulted = service.Plan(fx.workload.query, CostModel::kM2);
+  EXPECT_EQ(faulted.status, ServiceStatus::kOk);
+  EXPECT_EQ(faulted.result.status, PlanStatus::kBudgetExhausted);
+  EXPECT_EQ(faulted.result.exhaustion.kind, BudgetKind::kInjected);
+  EXPECT_EQ(faulted.attempts, 1u);
+  EXPECT_DOUBLE_EQ(service.breaker().failure_rate(), 1.0);
 
-  EXPECT_EQ(response.status, ServiceStatus::kOk);
-  EXPECT_EQ(response.result.status, PlanStatus::kOk);
-  EXPECT_EQ(response.attempts, 2u);
-  ASSERT_EQ(delays.size(), 1u);
-  // The schedule is the pure function BackoffPolicy::DelayMs — replayable
-  // from (attempt, retry_seed + request id) alone. This was request id 0.
-  EXPECT_DOUBLE_EQ(delays[0], options.retry.DelayMs(1, 99));
-
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  ExpectInvariants(stats);
-}
-
-TEST_F(StressHarnessTest, PersistentFaultFailsAfterRetryBudget) {
-  ServiceFixture fx(7);
-  PlanningService::Options options = SerialServiceOptions();
-  options.retry.max_attempts = 3;
-  std::vector<double> delays;
-  // Re-arm between attempts: the fault registry fires each armed fault
-  // once, so a PERSISTENT fault is modeled by re-arming from the backoff
-  // hook (which runs on the worker, strictly between attempts).
-  options.sleep_ms = [&delays](double ms) {
-    delays.push_back(ms);
-    FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-  };
-  PlanningService service(fx.planner.get(), options);
-
-  FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-  const auto response = service.Plan(fx.workload.query, CostModel::kM2);
-
-  EXPECT_EQ(response.status, ServiceStatus::kFailed);
-  EXPECT_EQ(response.attempts, 3u);
-  EXPECT_EQ(delays.size(), 2u);
-  EXPECT_NE(response.error.find("3 attempts"), std::string::npos)
-      << response.error;
+  const auto clean = service.Plan(fx.workload.query, CostModel::kM2);
+  EXPECT_EQ(clean.status, ServiceStatus::kOk);
+  ASSERT_EQ(clean.result.status, PlanStatus::kOk);
+  EXPECT_EQ(clean.attempts, 1u);
+  EXPECT_TRUE(
+      VerifyCertificate(clean.result.choice->certificate, fx.workload.views));
+  EXPECT_DOUBLE_EQ(service.breaker().failure_rate(), 0.5);
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(service.service_level(), 0u);
   ExpectInvariants(stats);
 }
 
 TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
   ServiceFixture fx(11);
   PlanningService::Options options = SerialServiceOptions();
-  options.retry.max_attempts = 1;  // every injected fault is terminal
   options.breaker.window = 4;
   options.breaker.min_samples = 2;
   options.breaker.cooldown = 2;
@@ -204,15 +180,17 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
   options.breaker.probe_interval = 2;
   PlanningService service(fx.planner.get(), options);
 
-  // Failure phase: every request dies on an injected fault; the breaker
-  // walks 0 -> 1 -> 2 -> 3 -> 4 (reject), two outcomes per rung.
+  // Failure phase: every request's budget dies on an injected fault; the
+  // breaker walks 0 -> 1 -> 2 -> 3 -> 4 (reject), two outcomes per rung.
   std::vector<uint32_t> levels_seen;
   bool saw_demotion = false;
   int failures = 0;
   for (int i = 0; i < 64 && service.service_level() < 4; ++i) {
     FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
     const auto response = service.Plan(fx.workload.query, CostModel::kM2);
-    ASSERT_EQ(response.status, ServiceStatus::kFailed) << "i=" << i;
+    ASSERT_EQ(response.status, ServiceStatus::kOk) << "i=" << i;
+    ASSERT_EQ(response.result.exhaustion.kind, BudgetKind::kInjected)
+        << "i=" << i;
     levels_seen.push_back(response.service_level);
     saw_demotion = saw_demotion || response.model_demoted;
     ++failures;
@@ -222,7 +200,7 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
   // Each brown-out rung actually served requests on the way up.
   EXPECT_EQ(levels_seen,
             (std::vector<uint32_t>{0, 0, 1, 1, 2, 2, 3, 3}));
-  // Rung 3 is cached-or-M1-only; the failed requests cached nothing, so
+  // Rung 3 is cached-or-M1-only; the exhausted requests cached nothing, so
   // the M2 requests planned there were demoted to M1.
   EXPECT_TRUE(saw_demotion);
 
@@ -238,7 +216,8 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
       ++rejected;
       FaultRegistry::Global().Disarm(kFaultSite);
     } else {
-      EXPECT_EQ(response.status, ServiceStatus::kFailed);
+      EXPECT_EQ(response.status, ServiceStatus::kOk);
+      EXPECT_EQ(response.result.status, PlanStatus::kBudgetExhausted);
       ++probe_failures;
     }
   }
@@ -254,6 +233,7 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
     const auto response = service.Plan(fx.workload.query, CostModel::kM2);
     if (response.status != ServiceStatus::kRejected) {
       ASSERT_EQ(response.status, ServiceStatus::kOk);
+      ASSERT_EQ(response.result.status, PlanStatus::kOk);
       ++recovery_requests;
     }
   }
@@ -284,16 +264,14 @@ TEST_F(StressHarnessTest, QueueBoundRejectsAndShutdownShedsThePending) {
   ServiceFixture fx(13);
   PlanningService::Options options = SerialServiceOptions();
   options.max_queue = 3;
-  options.retry.max_attempts = 2;
-  WorkerGate gate;
-  options.sleep_ms = [&gate](double) { gate.Park(); };
   PlanningService service(fx.planner.get(), options);
 
-  // Park the single worker mid-request (inside the retry backoff).
-  FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
+  // Park the single worker mid-request (inside its trace sink).
+  WorkerGate gate;
   PlanningService::PlanRequest blocker;
   blocker.query = fx.workload.query;
   blocker.options.model = CostModel::kM2;
+  blocker.trace = &gate;
   auto blocker_future = service.Submit(std::move(blocker));
   gate.AwaitEntered();
 
@@ -328,11 +306,12 @@ TEST_F(StressHarnessTest, QueueBoundRejectsAndShutdownShedsThePending) {
   gate.Open();
   shutdown_thread.join();
 
-  // The in-flight blocker completed (its retry succeeded: the armed fault
-  // fired on attempt 1); every queued request was shed, none lost.
+  // The in-flight blocker completed; every queued request was shed, none
+  // lost.
   const auto blocker_response = blocker_future.get();
   EXPECT_EQ(blocker_response.status, ServiceStatus::kOk);
-  EXPECT_EQ(blocker_response.attempts, 2u);
+  EXPECT_EQ(blocker_response.result.status, PlanStatus::kOk);
+  EXPECT_EQ(blocker_response.attempts, 1u);
   for (auto& f : queued) {
     const auto response = f.get();
     EXPECT_EQ(response.status, ServiceStatus::kShed);
@@ -350,11 +329,8 @@ TEST_F(StressHarnessTest, QueueBoundRejectsAndShutdownShedsThePending) {
 TEST_F(StressHarnessTest, DeadlinesGateAdmissionAndShedStaleQueueEntries) {
   ServiceFixture fx(17);
   PlanningService::Options options = SerialServiceOptions();
-  options.retry.max_attempts = 2;
   // Pin the admission estimate so the unmeetable-deadline check is exact.
   options.assumed_service_ms = 50.0;
-  WorkerGate gate;
-  options.sleep_ms = [&gate](double) { gate.Park(); };
   PlanningService service(fx.planner.get(), options);
 
   // A deadline below one (estimated) service time is provably unmeetable.
@@ -370,9 +346,10 @@ TEST_F(StressHarnessTest, DeadlinesGateAdmissionAndShedStaleQueueEntries) {
   // Park the worker, then queue a request whose (meetable-at-admission)
   // deadline expires while it waits: it must be shed at dequeue, not
   // planned.
-  FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
+  WorkerGate gate;
   PlanningService::PlanRequest blocker;
   blocker.query = fx.workload.query;
+  blocker.trace = &gate;
   auto blocker_future = service.Submit(std::move(blocker));
   gate.AwaitEntered();
 
@@ -457,8 +434,6 @@ TEST_F(StressHarnessTest, MixedOverloadKeepsAccountingExact) {
   options.num_workers = 2;
   options.max_queue = 4;  // small enough that submitters outrun it
   options.budget.work_limit = uint64_t{1} << 40;
-  options.retry.max_attempts = 2;
-  options.sleep_ms = [](double) {};  // retries without wall-clock waits
   PlanningService service(fx.planner.get(), options);
 
   constexpr int kSubmitters = 3;
@@ -477,7 +452,7 @@ TEST_F(StressHarnessTest, MixedOverloadKeepsAccountingExact) {
         futures[static_cast<size_t>(t)].push_back(
             service.Submit(std::move(request)));
         if (i % 7 == 3) {
-          // Sprinkle transient faults; crossings are nondeterministic under
+          // Sprinkle injected faults; crossings are nondeterministic under
           // concurrency, so only the invariants are asserted.
           FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 2);
         }
@@ -486,7 +461,7 @@ TEST_F(StressHarnessTest, MixedOverloadKeepsAccountingExact) {
   }
   for (std::thread& t : submitters) t.join();
 
-  size_t ok = 0, rejected = 0, shed = 0, failed = 0;
+  size_t ok = 0, rejected = 0, shed = 0;
   for (auto& per_thread : futures) {
     for (auto& f : per_thread) {
       const auto response = f.get();  // hangs if any request were lost
@@ -504,9 +479,6 @@ TEST_F(StressHarnessTest, MixedOverloadKeepsAccountingExact) {
         case ServiceStatus::kShed:
           ++shed;
           break;
-        case ServiceStatus::kFailed:
-          ++failed;
-          break;
       }
     }
   }
@@ -518,7 +490,6 @@ TEST_F(StressHarnessTest, MixedOverloadKeepsAccountingExact) {
   EXPECT_EQ(stats.completed, ok);
   EXPECT_EQ(stats.rejected, rejected);
   EXPECT_EQ(stats.shed, shed);
-  EXPECT_EQ(stats.failed, failed);
   ExpectInvariants(stats);
   EXPECT_GE(ok, 1u);
 }
