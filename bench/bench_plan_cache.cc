@@ -1,5 +1,5 @@
-// Plan-cache benchmark: warm-vs-cold planning latency and PlanMany batch
-// throughput over Section 7 chain/star workloads.
+// Plan-cache benchmark: warm-vs-cold planning latency over Section 7
+// chain/star workloads.
 //
 // "Cold" plans through a cache-disabled planner (every request pays the
 // full CoreCover* run). "Warm" pre-populates the cache with one
@@ -157,35 +157,6 @@ BENCHMARK(BM_PlanStar_Warm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlanChain_Cold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlanChain_Warm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Batched planning: one PlanMany call over every variant of one workload's
-// query (heavy in-flight deduplication), on one pool thread per core. The
-// first iteration pays the cold leader runs; later iterations are all hits,
-// so this measures the batched steady state.
-void BM_PlanManyBatch(benchmark::State& state) {
-  const CacheWorkload& w = SharedWorkload(QueryShape::kStar);
-  const ViewPlanner::Options options = BenchOptions(/*enable_cache=*/true);
-  std::vector<ConjunctiveQuery> batch;
-  for (size_t i = 0; i < w.base.size(); ++i) {
-    for (const ConjunctiveQuery& q : w.variants[i]) batch.push_back(q);
-  }
-  // All workloads draw predicates from one shared pool, so workload 0's
-  // views serve the whole batch (queries they cannot rewrite still pay
-  // fingerprinting and the CoreCover "no rewriting" analysis).
-  ViewPlanner planner(w.base[0].views, w.view_dbs[0], options);
-  for (auto _ : state) {
-    const auto results = planner.PlanMany(batch, CostModel::kM2);
-    benchmark::DoNotOptimize(results.size());
-  }
-  state.counters["batch"] = static_cast<double>(batch.size());
-  state.counters["hit_rate"] = planner.cache_counters().HitRate();
-  state.counters["sec_per_query"] = benchmark::Counter(
-      static_cast<double>(batch.size()),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
-}
-
-BENCHMARK(BM_PlanManyBatch)->Unit(benchmark::kMillisecond);
-
 // After the benchmarks: one sample EXPLAIN of a warm-cache plan plus the
 // process-wide metrics snapshot, so a bench run doubles as an observability
 // smoke test (and EXPERIMENTS.md can quote real counter values).
@@ -195,7 +166,7 @@ void DumpObservability() {
                       BenchOptions(/*enable_cache=*/true));
   benchmark::DoNotOptimize(planner.Plan(w.base[0].query, CostModel::kM2));
   const auto explanation =
-      planner.Explain(w.variants[0][0], CostModel::kM2);
+      planner.Explain(w.variants[0][0], {.model = CostModel::kM2});
   std::fprintf(stderr, "\n--- sample EXPLAIN (warm cache) ---\n%s",
                explanation.ToText().c_str());
   std::fprintf(stderr, "\n--- metrics snapshot ---\n%s",

@@ -197,10 +197,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Everything below consumes the one unified request-options struct.
-  const ResourceLimits budget = request_options.limits();
-  const CostModel model = request_options.model;
-
   std::string text;
   if (path != nullptr) {
     std::ifstream in(path);
@@ -443,9 +439,7 @@ int main(int argc, char** argv) {
   // The standalone enumeration runs under its own governor so a --deadline-ms
   // or --work-budget bounds it exactly like the planner calls below.
   const CoreCoverResult result = [&] {
-    std::optional<ResourceGovernor> governor;
-    if (!budget.unlimited()) governor.emplace(budget);
-    GovernorScope scope(governor ? &*governor : nullptr);
+    const ScopedGovernor governed(request_options.limits());
     return all_minimal ? CoreCoverStar(query, views, options)
                        : CoreCover(query, views, options);
   }();
@@ -504,13 +498,13 @@ int main(int argc, char** argv) {
     ViewPlanner::Options planner_options;
     planner_options.core_cover = options;
     planner_options.enable_cache = enable_cache;
-    planner_options.budget = budget;
     ViewPlanner planner(views, MaterializeViews(views, base),
                         planner_options);
     MemoryTraceSink sink;
     TraceSink* const sink_ptr = trace ? &sink : nullptr;
     if (explain_mode != ExplainMode::kOff) {
-      const auto explanation = planner.Explain(query, model, sink_ptr);
+      const auto explanation =
+          planner.Explain(query, request_options, sink_ptr);
       if (explain_mode == ExplainMode::kJson) {
         std::printf("%s\n", explanation.ToJson().c_str());
       } else {
@@ -522,7 +516,7 @@ int main(int argc, char** argv) {
       if (!explanation.ok()) return 2;
       return 0;
     }
-    const auto plan = planner.Plan(query, model, sink_ptr);
+    const auto plan = planner.Plan(query, request_options, sink_ptr);
     if (trace) {
       std::fprintf(stderr, "%s", sink.ToText().c_str());
     }

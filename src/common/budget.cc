@@ -30,7 +30,25 @@ uint64_t DeriveSearchNodeCap(const ResourceLimits& limits) {
   return limits.work_limit;
 }
 
+// The stricter of two limits, where a value <= 0 means "unset".
+template <typename T>
+T Stricter(T a, T b) {
+  if (a <= 0) return b;
+  if (b <= 0) return a;
+  return a < b ? a : b;
+}
+
 }  // namespace
+
+ResourceLimits ResourceLimits::StricterOf(const ResourceLimits& other) const {
+  ResourceLimits merged;
+  merged.deadline_ms = Stricter(deadline_ms, other.deadline_ms);
+  merged.work_limit = Stricter(work_limit, other.work_limit);
+  merged.memory_limit_bytes =
+      Stricter(memory_limit_bytes, other.memory_limit_bytes);
+  merged.search_node_cap = Stricter(search_node_cap, other.search_node_cap);
+  return merged;
+}
 
 const char* BudgetKindName(BudgetKind kind) {
   switch (kind) {
@@ -87,10 +105,10 @@ bool ResourceGovernor::CheckPoint(const char* site) {
 bool ResourceGovernor::KeepGoing(const char* site) {
   if (exhausted()) return false;
   if (!ConsultFaults(site)) return false;
-  // Intentionally no work-counter check here: hot loops run on pool threads,
-  // and latching on the shared counter mid-flight would make pure-work-budget
-  // outcomes depend on scheduling. The deadline is inherently timing-based,
-  // so checking it here loses nothing.
+  // Intentionally no work-counter check here: work decisions are taken only
+  // at the serial CheckPoint sites, so a hot loop never cuts itself short on
+  // the shared counter. The deadline is inherently timing-based, so checking
+  // it here loses nothing.
   if (limits_.deadline_ms > 0) {
     uint32_t tick =
         deadline_ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -158,5 +176,11 @@ GovernorScope::GovernorScope(ResourceGovernor* governor)
 }
 
 GovernorScope::~GovernorScope() { g_current_governor = previous_; }
+
+ScopedGovernor::ScopedGovernor(const ResourceLimits& limits) {
+  if (limits.unlimited()) return;
+  governor_.emplace(limits);
+  scope_.emplace(&*governor_);
+}
 
 }  // namespace vbr

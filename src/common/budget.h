@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace vbr {
@@ -22,9 +23,11 @@ namespace vbr {
 // cover): exhaustion can hide rewritings but can never certify a wrong one.
 //
 // The governor is installed for the current thread with the RAII
-// GovernorScope; ThreadPool::ParallelFor re-installs the caller's governor
-// inside every pool task, so work already in flight on pool threads observes
-// the same budget without any API plumbing.
+// GovernorScope, and every check consults the calling thread's governor, so
+// the whole pipeline below a scope observes the same budget without any API
+// plumbing. A planning request's budget is exactly the governor installed
+// around its planner call (ViewPlanner::Plan with PlanRequestOptions, or the
+// PlanningService worker serving it).
 //
 // Determinism contract (tests/property/budget_determinism_test.cc): under a
 // pure WORK budget (no deadline), governed results are byte-identical across
@@ -70,6 +73,11 @@ struct ResourceLimits {
     return deadline_ms <= 0 && work_limit == 0 && memory_limit_bytes == 0 &&
            search_node_cap == 0;
   }
+
+  // Field-wise stricter-wins merge: a field unset on one side takes the
+  // other side's value; a field set on both takes the smaller. The merge is
+  // order-free, so a chain of caps gives one result whatever its order.
+  ResourceLimits StricterOf(const ResourceLimits& other) const;
 };
 
 // Where and why a budget died.
@@ -107,10 +115,10 @@ class ResourceGovernor {
   // continue.
   bool CheckPoint(const char* site);
 
-  // Cheap cooperative check for hot loops, safe on pool threads: observes
-  // already-latched exhaustion, the deadline (clock reads amortized), and
-  // injected faults — never latches on the work counter (that would make
-  // parallel outcomes schedule-dependent). Returns true to continue.
+  // Cheap cooperative check for hot loops: observes already-latched
+  // exhaustion, the deadline (clock reads amortized), and injected faults —
+  // never latches on the work counter (work decisions belong to the serial
+  // checkpoints, rule 1 above). Returns true to continue.
   bool KeepGoing(const char* site);
 
   // First-wins exhaustion latch (used by the checks above and by fault
@@ -181,6 +189,19 @@ class GovernorScope {
 
  private:
   ResourceGovernor* previous_;
+};
+
+// A fresh governor with `limits`, installed for the scope's lifetime (its
+// deadline runs from construction) — or nothing when `limits` is
+// unlimited, so the caller's governor, if any, stays current. This is how
+// a planning request's budget is installed around the planner call.
+class ScopedGovernor {
+ public:
+  explicit ScopedGovernor(const ResourceLimits& limits);
+
+ private:
+  std::optional<ResourceGovernor> governor_;
+  std::optional<GovernorScope> scope_;
 };
 
 }  // namespace vbr

@@ -25,7 +25,7 @@ inline constexpr Symbol kInvalidSymbol = -1;
 // grows; Symbols are never invalidated.
 //
 // Thread safety: every method may be called concurrently from any number of
-// threads (service workers and PlanMany tasks plan concurrently, and
+// threads (service workers plan concurrently, and
 // planning interns fresh variables). The name->id map is sharded under
 // std::shared_mutex, so Intern of an already-known name takes one shared
 // lock on one shard. Resolving an

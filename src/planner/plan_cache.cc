@@ -39,8 +39,6 @@ PlanCache::PlanCache(size_t capacity, size_t num_shards)
   evictions_.global = registry.GetCounter("planner.cache.evictions");
 }
 
-void PlanCache::RecordDedupHit() { hits_.Increment(); }
-
 void PlanCache::Erase(Shard& shard, std::list<Node>::iterator it) {
   const uint64_t hash = it->entry->fingerprint.hash;
   auto [begin, end] = shard.index.equal_range(hash);

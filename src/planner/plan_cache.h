@@ -157,10 +157,6 @@ class PlanCache {
               uint64_t epoch = kCurrentEpoch,
               uint64_t delta_epoch = kCurrentDeltaEpoch);
 
-  // Records a deduplication hit served outside Lookup (PlanMany hands a
-  // just-planned entry straight to batch duplicates).
-  void RecordDedupHit();
-
   // Invalidates every entry: the epoch counter is bumped and all shards are
   // purged (the dropped entries count as evictions). Returns the new epoch.
   uint64_t BumpEpoch();

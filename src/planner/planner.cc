@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "common/check.h"
 #include "common/json.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cost/filter_advisor.h"
 #include "cq/containment.h"
@@ -436,14 +434,15 @@ bool ViewPlanner::CostAndPick(
 namespace {
 
 // Limits for one rung of the degradation ladder: the configured grace work
-// budget, plus a sliver of deadline when the request itself was
-// deadline-bound (recovery must not cost multiples of the deadline the
-// caller asked for).
-ResourceLimits GraceLimits(const ViewPlanner::Options& options) {
+// budget, plus a sliver of deadline when the request governor installed
+// around the call is deadline-bound (recovery must not cost multiples of the
+// deadline the caller asked for).
+ResourceLimits GraceLimits(uint64_t work_budget) {
   ResourceLimits grace;
-  grace.work_limit = options.fallback_work_budget;
-  if (options.budget.deadline_ms > 0) {
-    grace.deadline_ms = std::max(5.0, options.budget.deadline_ms / 4);
+  grace.work_limit = work_budget;
+  const ResourceGovernor* const request = ResourceGovernor::Current();
+  if (request != nullptr && request->limits().deadline_ms > 0) {
+    grace.deadline_ms = std::max(5.0, request->limits().deadline_ms / 4);
   }
   return grace;
 }
@@ -456,7 +455,7 @@ std::optional<EquivalenceCertificate> ViewPlanner::GraceCertify(
   // A fresh governor shields the certification search from the exhausted
   // request governor (otherwise the dead budget would starve its own
   // recovery); the grace budget keeps it bounded.
-  ResourceGovernor governor(GraceLimits(options_));
+  ResourceGovernor governor(GraceLimits(options_.fallback_work_budget));
   GovernorScope scope(&governor);
   return CertifyEquivalentRewriting(rewriting, minimized, vs.views);
 }
@@ -474,7 +473,7 @@ ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
   if (!options_.enable_minicon_fallback) return out;
 
   TraceSpan span(trace, "minicon_fallback");
-  ResourceGovernor governor(GraceLimits(options_));
+  ResourceGovernor governor(GraceLimits(options_.fallback_work_budget));
   GovernorScope scope(&governor);
   // Same candidate discipline as the main pipeline, in MiniCon's
   // kAnyOverlap mode (snapshot index when available).
@@ -516,14 +515,9 @@ ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
 ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
     const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
     const CoreCoverOptions& cc_options, const CanonicalQuery* canonical,
-    std::shared_ptr<const CachedPlan>* out_entry,
     PlanExplanation* explain) const {
-  // Per-request budget: a fresh governor when the options configure limits,
-  // otherwise whatever governor the caller installed (possibly none).
-  std::optional<ResourceGovernor> governor_storage;
-  if (!options_.budget.unlimited()) governor_storage.emplace(options_.budget);
-  GovernorScope budget_scope(governor_storage ? &*governor_storage
-                                              : ResourceGovernor::Current());
+  // The request's budget is whatever governor the caller installed
+  // (possibly none).
   ResourceGovernor* const governor = ResourceGovernor::Current();
 
   // M1 needs only the GMRs; M2/M3 search all minimal rewritings. The
@@ -646,7 +640,6 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
     // AddViews/RemoveViews that landed mid-plan is reconciled per-query at
     // lookup time instead of silently serving a pre-delta plan.
     cache_->Insert(model, entry, vs.epoch, vs.delta_epoch);
-    if (out_entry != nullptr) *out_entry = entry;
   }
   return out;
 }
@@ -656,11 +649,7 @@ ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
     const CachedPlan& entry, const Substitution& transport,
     const TraceContext& trace, PlanExplanation* explain) const {
   // Cache hits re-cost and re-certify against current instances, so they
-  // run under the same per-request budget as a fresh plan.
-  std::optional<ResourceGovernor> governor_storage;
-  if (!options_.budget.unlimited()) governor_storage.emplace(options_.budget);
-  GovernorScope budget_scope(governor_storage ? &*governor_storage
-                                              : ResourceGovernor::Current());
+  // run under the same installed request governor as a fresh plan.
   ResourceGovernor* const governor = ResourceGovernor::Current();
 
   PlanResult out;
@@ -788,13 +777,7 @@ ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
   // Same governed-call contract as PlanningService::Serve: install a fresh
   // governor from the request's limits (deadline measured from here) so
   // the whole pipeline observes them, then plan under the request's model.
-  const ResourceLimits limits = request.limits();
-  std::optional<ResourceGovernor> governor;
-  std::optional<GovernorScope> scope;
-  if (!limits.unlimited()) {
-    governor.emplace(limits);
-    scope.emplace(&*governor);
-  }
+  const ScopedGovernor governed(request.limits());
   return Plan(query, request.model, trace);
 }
 
@@ -833,7 +816,7 @@ ViewPlanner::PlanResult ViewPlanner::PlanInternal(
     disposition = options_.enable_cache ? "bypass" : "disabled";
     CoreCoverOptions cc = options_.core_cover;
     cc.trace = span.context();
-    result = PlanViaCoreCover(vs, query, model, cc, nullptr, nullptr, explain);
+    result = PlanViaCoreCover(vs, query, model, cc, nullptr, explain);
   } else {
     std::optional<CanonicalQuery> canonical;
     {
@@ -860,8 +843,7 @@ ViewPlanner::PlanResult ViewPlanner::PlanInternal(
       disposition = "miss";
       CoreCoverOptions cc = options_.core_cover;
       cc.trace = span.context();
-      result = PlanViaCoreCover(vs, query, model, cc, &*canonical, nullptr,
-                                explain);
+      result = PlanViaCoreCover(vs, query, model, cc, &*canonical, explain);
     }
   }
   span.AddAttribute("cache", disposition);
@@ -888,14 +870,18 @@ ViewPlanner::PlanResult ViewPlanner::PlanInternal(
 }
 
 ViewPlanner::PlanExplanation ViewPlanner::Explain(
-    const ConjunctiveQuery& query, CostModel model, TraceSink* trace) const {
+    const ConjunctiveQuery& query, const PlanRequestOptions& request,
+    TraceSink* trace) const {
   PlanExplanation explain;
   // One snapshot for the planning run AND the re-measurement below, so the
   // breakdown describes the same view generation the plan was chosen on.
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
   const ViewSnapshot& vs = *snapshot;
-  const PlanResult result =
-      PlanInternal(vs, query, model, TraceContext{trace, 0}, &explain);
+  const PlanResult result = [&] {
+    const ScopedGovernor governed(request.limits());
+    return PlanInternal(vs, query, request.model, TraceContext{trace, 0},
+                        &explain);
+  }();
   if (!result.ok()) return explain;
 
   // Re-measure the chosen logical plan under all three cost models so the
@@ -920,126 +906,6 @@ ViewPlanner::PlanExplanation ViewPlanner::Explain(
     explain.breakdown.push_back(std::move(b));
   }
   return explain;
-}
-
-std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
-    const std::vector<ConjunctiveQuery>& queries, CostModel model) const {
-  std::vector<PlanResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  // One snapshot for the whole batch: every member plans against the same
-  // view generation even when ReplaceViews lands mid-batch.
-  const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
-  const ViewSnapshot& vs = *snapshot;
-
-  // The batch is the unit of parallelism: the pool fans out across
-  // fingerprint groups and each query plans on one thread.
-  ThreadPool pool(std::min(ThreadPool::DefaultThreadCount(), queries.size()));
-
-  std::vector<std::unique_ptr<CanonicalQuery>> canon(queries.size());
-  if (options_.enable_cache) {
-    pool.ParallelFor(queries.size(), [&](size_t i) {
-      if (!queries[i].HasBuiltins()) {
-        canon[i] = std::make_unique<CanonicalQuery>(
-            CanonicalizeQuery(queries[i]));
-      }
-    });
-  }
-
-  // Group queries by fingerprint, first occurrence leading, mirroring the
-  // cache's matching rules (exact canonical string, or isomorphism search
-  // when a labeling is inexact). Uncacheable queries form singleton groups.
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<std::string_view, size_t> by_canonical;
-  std::vector<size_t> inexact_groups;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (canon[i] == nullptr) {
-      groups.push_back({i});
-      continue;
-    }
-    const QueryFingerprint& fp = canon[i]->fingerprint;
-    if (auto it = by_canonical.find(fp.canonical); it != by_canonical.end()) {
-      groups[it->second].push_back(i);
-      continue;
-    }
-    size_t joined = static_cast<size_t>(-1);
-    if (!fp.exact) {
-      for (size_t g = 0; g < groups.size() && joined == static_cast<size_t>(-1);
-           ++g) {
-        const size_t lead = groups[g][0];
-        if (canon[lead] != nullptr &&
-            Isomorphic(canon[lead]->minimized, canon[i]->minimized)) {
-          joined = g;
-        }
-      }
-    } else {
-      for (size_t g : inexact_groups) {
-        const size_t lead = groups[g][0];
-        if (Isomorphic(canon[lead]->minimized, canon[i]->minimized)) {
-          joined = g;
-          break;
-        }
-      }
-    }
-    if (joined != static_cast<size_t>(-1)) {
-      groups[joined].push_back(i);
-      continue;
-    }
-    groups.push_back({i});
-    by_canonical.emplace(fp.canonical, groups.size() - 1);
-    if (!fp.exact) inexact_groups.push_back(groups.size() - 1);
-  }
-
-  pool.ParallelFor(groups.size(), [&](size_t g) {
-    const std::vector<size_t>& members = groups[g];
-    const size_t lead = members[0];
-    std::shared_ptr<const CachedPlan> entry;
-    if (canon[lead] != nullptr) {
-      std::optional<Substitution> fallback;
-      entry = cache_->Lookup(canon[lead]->fingerprint, model,
-                             canon[lead]->minimized, &fallback, vs.epoch,
-                             vs.delta_epoch);
-      if (entry != nullptr) {
-        results[lead] =
-            PlanFromEntry(vs, queries[lead], model, *entry,
-                          fallback ? *fallback : canon[lead]->from_canonical);
-      } else {
-        results[lead] =
-            PlanViaCoreCover(vs, queries[lead], model, options_.core_cover,
-                             canon[lead].get(), &entry);
-      }
-    } else {
-      results[lead] = PlanViaCoreCover(
-          vs, queries[lead], model, options_.core_cover, nullptr, nullptr);
-    }
-    // In-flight deduplication: duplicates reuse the representative's entry
-    // directly (robust against concurrent eviction) and count as hits.
-    for (size_t k = 1; k < members.size(); ++k) {
-      const size_t idx = members[k];
-      VBR_CHECK(canon[idx] != nullptr);
-      if (entry == nullptr) {
-        // The representative's run exhausted its budget, so nothing was
-        // cached (a partial rewriting enumeration must not poison its
-        // duplicates); each duplicate plans on its own budget instead.
-        results[idx] =
-            PlanViaCoreCover(vs, queries[idx], model, options_.core_cover,
-                             canon[idx].get(), nullptr);
-        continue;
-      }
-      Substitution transport;
-      if (canon[idx]->fingerprint.canonical == entry->fingerprint.canonical) {
-        transport = canon[idx]->from_canonical;
-      } else {
-        auto iso = FindIsomorphism(entry->minimized, canon[idx]->minimized);
-        VBR_CHECK_MSG(iso.has_value(),
-                      "batched duplicate is not isomorphic to its leader");
-        transport = std::move(*iso);
-      }
-      cache_->RecordDedupHit();
-      results[idx] = PlanFromEntry(vs, queries[idx], model, *entry, transport);
-    }
-  });
-  return results;
 }
 
 void ViewPlanner::ReplaceViews(ViewSet views, Database view_instances) {

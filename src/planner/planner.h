@@ -41,13 +41,13 @@ enum class PlanStatus {
   // The (minimized) query exceeds the supported fragment (e.g. more than
   // 64 subgoals); PlanResult::error carries the detail.
   kUnsupportedQueryTooLarge,
-  // The request's resource budget (Options::budget) ran out before any
-  // certified plan could be produced — including the degradation ladder
-  // (grace certification of a best-so-far rewriting, then the budgeted
-  // MiniCon fallback). PlanResult::exhaustion says which budget died and at
-  // which check site; `error` carries a human-readable account. Note that a
-  // budget can also run out and still yield a plan: the result is then kOk
-  // with `degraded` set.
+  // The request's resource budget (the governor installed around the call)
+  // ran out before any certified plan could be produced — including the
+  // degradation ladder (grace certification of a best-so-far rewriting,
+  // then the budgeted MiniCon fallback). PlanResult::exhaustion says which
+  // budget died and at which check site; `error` carries a human-readable
+  // account. Note that a budget can also run out and still yield a plan:
+  // the result is then kOk with `degraded` set.
   kBudgetExhausted,
 };
 
@@ -127,8 +127,8 @@ class ViewPlanner {
     // hit these are the ORIGINAL run's stats (its timings describe the
     // planning work this request skipped).
     CoreCoverStats stats;
-    // True if the logical plans came from the cache (or from PlanMany's
-    // in-flight deduplication) instead of a fresh CoreCover run.
+    // True if the logical plans came from the cache instead of a fresh
+    // CoreCover run.
     bool cache_hit = false;
     // Human-readable detail when status == kUnsupportedQueryTooLarge or
     // kBudgetExhausted.
@@ -171,22 +171,13 @@ class ViewPlanner {
     bool enable_cache = true;
     // Total plan-cache entries across all shards.
     size_t cache_capacity = 1024;
-    // DEPRECATED planner-wide request budget (kept one release): prefer the
-    // per-request PlanRequestOptions overload of Plan(), which carries the
-    // model and the budget in one transport-neutral struct. When any limit
-    // is set here, every planned query runs under its own fresh
-    // ResourceGovernor (taking precedence over a caller-installed one);
-    // exhaustion degrades the result (kBudgetExhausted, or kOk with
-    // `degraded` set) and NEVER aborts the process. Budget-exhausted
-    // logical outcomes are never inserted into the plan cache.
-    ResourceLimits budget;
     // Work-unit budget for the degradation ladder: grace certification of a
     // best-so-far rewriting and the MiniCon fallback each run under a fresh
     // governor with this work limit, shielded from the exhausted request
     // governor (otherwise a dead budget would starve its own recovery).
-    // When the request budget has a deadline, the grace governor also gets a
-    // quarter of it (at least 5 ms), so the ladder cannot turn a tight
-    // deadline into a long fallback search. 0 = unlimited grace work.
+    // When the installed request governor has a deadline, the grace governor
+    // also gets a quarter of it (at least 5 ms), so the ladder cannot turn a
+    // tight deadline into a long fallback search. 0 = unlimited grace work.
     uint64_t fallback_work_budget = 250'000;
     // When CoreCover's budget dies before any rewriting is found, retry with
     // a work-budgeted MiniCon run (baseline/minicon.h) before giving up.
@@ -259,7 +250,9 @@ class ViewPlanner {
   // call emits a span tree into the sink: a root "plan" span (attributes:
   // model, cache disposition, status) with children for canonicalization,
   // the cache lookup, every CoreCover stage, the cost optimizers, and
-  // certification. A null sink costs one branch per span site.
+  // certification. A null sink costs one branch per span site. These
+  // overloads install no budget: the whole call runs under whatever
+  // ResourceGovernor the caller installed (GovernorScope), or unbounded.
   PlanResult Plan(const ConjunctiveQuery& query, CostModel model) const;
   PlanResult Plan(const ConjunctiveQuery& query, CostModel model,
                   TraceSink* trace) const;
@@ -274,9 +267,7 @@ class ViewPlanner {
   // (a fresh ResourceGovernor is installed around the call when any limit
   // is set). This is the same contract the PlanningService applies to its
   // queue, so an in-process call and a wire request with equal options
-  // plan identically. Note Options::budget, when set, still takes
-  // precedence inside the rewriting search (see its deprecation note) —
-  // planners behind a service or server should leave it unlimited.
+  // plan identically.
   PlanResult Plan(const ConjunctiveQuery& query,
                   const PlanRequestOptions& request,
                   TraceSink* trace = nullptr) const;
@@ -290,22 +281,16 @@ class ViewPlanner {
   std::optional<PlanResult> TryPlanFromCache(const ConjunctiveQuery& query,
                                              CostModel model) const;
 
-  // Plans `query` and explains the outcome. Runs the normal planning path
-  // (cache included) plus extra measurement work: every candidate is
-  // recorded while costing, and the winner is re-measured under all three
-  // cost models, so Explain is strictly more expensive than Plan — use it
-  // for debugging and inspection, not on the hot path.
-  PlanExplanation Explain(const ConjunctiveQuery& query, CostModel model,
+  // Plans `query` under `request.model` and explains the outcome. Runs the
+  // normal planning path (cache included) under the request's governor, as
+  // Plan(query, request) does, plus extra measurement work: every candidate
+  // is recorded while costing, and the winner is re-measured under all
+  // three cost models — outside the governor, so a budgeted explanation
+  // still carries its breakdown. Explain is strictly more expensive than
+  // Plan — use it for debugging and inspection, not on the hot path.
+  PlanExplanation Explain(const ConjunctiveQuery& query,
+                          const PlanRequestOptions& request,
                           TraceSink* trace = nullptr) const;
-
-  // Plans a batch: results[i] corresponds to queries[i]. The batch fans
-  // out on a thread pool (one thread per core, at most one per query), and
-  // queries with identical fingerprints are deduplicated in flight: one
-  // representative per fingerprint runs CoreCover, and its result is
-  // transported to the duplicates (reported as cache hits). Results are
-  // identical to calling Plan() serially on each query in order.
-  std::vector<PlanResult> PlanMany(const std::vector<ConjunctiveQuery>& queries,
-                                   CostModel model) const;
 
   // Replaces the view definitions and instances and invalidates the plan
   // cache (epoch bump), preserving cache counters and options. Prefer this
@@ -387,14 +372,12 @@ class ViewPlanner {
                           const TraceContext& trace,
                           PlanExplanation* explain) const;
   // Runs CoreCover + costing for `query`. When `canonical` is non-null the
-  // logical outcome is also inserted into the cache, and *out_entry (if
-  // non-null) receives the inserted entry for in-flight deduplication.
+  // logical outcome is also inserted into the cache.
   PlanResult PlanViaCoreCover(const ViewSnapshot& vs,
                               const ConjunctiveQuery& query, CostModel model,
                               const CoreCoverOptions& cc_options,
                               const CanonicalQuery* canonical,
-                              std::shared_ptr<const CachedPlan>* out_entry,
-                              PlanExplanation* explain = nullptr) const;
+                              PlanExplanation* explain) const;
   // Re-costs a cached entry for `query`. `transport` renames the entry's
   // canonical variables into the caller's.
   PlanResult PlanFromEntry(const ViewSnapshot& vs,

@@ -6,19 +6,6 @@ namespace vbr {
 
 namespace {
 
-// The stricter of two limits, where 0 means "unset / unlimited".
-double StricterMs(double a, double b) {
-  if (a <= 0) return b;
-  if (b <= 0) return a;
-  return a < b ? a : b;
-}
-
-uint64_t StricterUnits(uint64_t a, uint64_t b) {
-  if (a == 0) return b;
-  if (b == 0) return a;
-  return a < b ? a : b;
-}
-
 // Reads an optional non-negative number member into *out (as uint64_t).
 bool ReadLimit(const JsonValue& object, const std::string& key, uint64_t* out,
                std::string* error) {
@@ -44,18 +31,6 @@ ResourceLimits PlanRequestOptions::limits() const {
   limits.memory_limit_bytes = memory_limit_bytes;
   limits.search_node_cap = search_node_cap;
   return limits;
-}
-
-PlanRequestOptions PlanRequestOptions::StricterOf(
-    const PlanRequestOptions& other) const {
-  PlanRequestOptions merged = *this;
-  merged.deadline_ms = StricterMs(deadline_ms, other.deadline_ms);
-  merged.work_limit = StricterUnits(work_limit, other.work_limit);
-  merged.memory_limit_bytes =
-      StricterUnits(memory_limit_bytes, other.memory_limit_bytes);
-  merged.search_node_cap =
-      StricterUnits(search_node_cap, other.search_node_cap);
-  return merged;
 }
 
 std::string PlanRequestOptions::ToJson() const {

@@ -21,11 +21,12 @@ namespace vbr {
 // (ViewPlanner::Options' request budget, PlanningService::PlanRequest's
 // model/deadline pair, ad-hoc CLI flag plumbing).
 //
-// All limits are "0 = unset": an unset field inherits the consumer's
-// default (the planner's Options::budget, the service's Options::budget,
-// the server's request_defaults), and when both sides set a field the
-// STRICTER one wins — a client can always narrow its own request, never
-// widen a server-side cap.
+// All limits are "0 = unset". ViewPlanner::Plan installs them as given (one
+// fresh governor around the call). A PlanningService, and so the wire
+// server in front of it, merges them with its Options::budget cap through
+// ResourceLimits::StricterOf: an unset field inherits the cap, and when
+// both sides set a field the STRICTER one wins — a client can always narrow
+// its own request, never widen a server-side cap.
 struct PlanRequestOptions {
   CostModel model = CostModel::kM2;
   // Wall-clock deadline measured from submission, ms; 0 = none. At the
@@ -49,12 +50,6 @@ struct PlanRequestOptions {
     return deadline_ms <= 0 && work_limit == 0 && memory_limit_bytes == 0 &&
            search_node_cap == 0;
   }
-
-  // Field-wise merge with a second options struct acting as the default /
-  // cap: unset fields inherit `other`'s value; fields set on both sides
-  // take the stricter (smaller) one. `model` is not merged — the request's
-  // model always stands.
-  PlanRequestOptions StricterOf(const PlanRequestOptions& other) const;
 
   // One canonical JSON dialect, shared by the CLI, the HTTP endpoint, and
   // tests:

@@ -49,19 +49,6 @@ struct ServiceMetrics {
   }
 };
 
-// The stricter of two limits, where 0 means "unlimited".
-double StricterMs(double a, double b) {
-  if (a <= 0) return b;
-  if (b <= 0) return a;
-  return std::min(a, b);
-}
-
-uint64_t StricterUnits(uint64_t a, uint64_t b) {
-  if (a == 0) return b;
-  if (b == 0) return a;
-  return std::min(a, b);
-}
-
 }  // namespace
 
 const char* PlanningService::ServiceStatusName(ServiceStatus status) {
@@ -339,26 +326,13 @@ uint32_t PlanningService::EffectiveLevel() const {
 ResourceLimits PlanningService::PlanLimits(
     uint32_t level, double remaining_ms,
     const PlanRequestOptions& request) const {
-  // Service-wide cap tightened by the request's own budget: a client can
-  // narrow its request but never widen the operator's limits.
-  ResourceLimits limits = options_.budget;
-  limits.work_limit = StricterUnits(limits.work_limit, request.work_limit);
-  limits.memory_limit_bytes =
-      StricterUnits(limits.memory_limit_bytes, request.memory_limit_bytes);
-  limits.search_node_cap =
-      StricterUnits(limits.search_node_cap, request.search_node_cap);
-  if (level >= 2) {
-    const ResourceLimits& shrunken = options_.brownout_budget;
-    limits.deadline_ms = StricterMs(limits.deadline_ms, shrunken.deadline_ms);
-    limits.work_limit = StricterUnits(limits.work_limit, shrunken.work_limit);
-    limits.memory_limit_bytes =
-        StricterUnits(limits.memory_limit_bytes, shrunken.memory_limit_bytes);
-    limits.search_node_cap =
-        StricterUnits(limits.search_node_cap, shrunken.search_node_cap);
-  }
-  if (remaining_ms > 0) {
-    limits.deadline_ms = StricterMs(limits.deadline_ms, remaining_ms);
-  }
+  // Service-wide cap tightened by the request's own budget, whose deadline
+  // is the time it has left: a client can narrow its request but never
+  // widen the operator's limits. Brown-out rung 2 tightens further.
+  ResourceLimits request_limits = request.limits();
+  request_limits.deadline_ms = remaining_ms;
+  ResourceLimits limits = options_.budget.StricterOf(request_limits);
+  if (level >= 2) limits = limits.StricterOf(options_.brownout_budget);
   return limits;
 }
 
@@ -436,15 +410,9 @@ void PlanningService::Serve(Request& request) {
             : 0;
     const ResourceLimits limits =
         PlanLimits(level, remaining_ms, request.request.options);
-    // Rung 2 (and the deadline) act through the governor installed here;
-    // the planner's own Options::budget is typically unlimited in service
-    // deployments, so this governor is the one its pipeline observes.
-    std::optional<ResourceGovernor> governor;
-    std::optional<GovernorScope> scope;
-    if (!limits.unlimited()) {
-      governor.emplace(limits);
-      scope.emplace(&*governor);
-    }
+    // Rung 2 (and the deadline) act through the governor installed here,
+    // the only budget the planner's pipeline observes.
+    const ScopedGovernor governed(limits);
     response.result = planner_->Plan(request.request.query, model, trace);
     response.attempts = 1;
   }

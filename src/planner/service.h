@@ -251,6 +251,8 @@ class PlanningService {
   const CircuitBreaker& breaker() const { return breaker_; }
   uint32_t service_level() const { return breaker_.level(); }
   const ViewPlanner& planner() const { return *planner_; }
+  // The service-wide budget cap (Options::budget).
+  const ResourceLimits& budget() const { return options_.budget; }
 
  private:
   struct Request {

@@ -827,8 +827,16 @@ void PlanServer::DebugLoop() {
       code = 400;
       body = JsonError("query parse error: " + error);
     } else {
+      // Explain runs under the same budget cap as every /plan request.
+      const ResourceLimits& cap = service_->budget();
+      PlanRequestOptions request;
+      request.model = model;
+      request.deadline_ms = cap.deadline_ms;
+      request.work_limit = cap.work_limit;
+      request.memory_limit_bytes = cap.memory_limit_bytes;
+      request.search_node_cap = cap.search_node_cap;
       const ViewPlanner::PlanExplanation explanation =
-          service_->planner().Explain(*query, model);
+          service_->planner().Explain(*query, request);
       body = explanation.ToJson();
     }
     std::string wire =

@@ -18,8 +18,8 @@
 //     simply forgotten: the completion arrives, finds no connection with
 //     that id, and is counted in dropped_responses.  Nothing blocks.
 //   - ONE debug thread serves GET /explain (ViewPlanner::Explain is
-//     deliberately expensive); /metricz, /statz, and /healthz are answered
-//     inline on the IO thread.
+//     deliberately expensive), under the service's budget cap;
+//     /metricz, /statz, and /healthz are answered inline on the IO thread.
 //
 // The server does not own the service or the planner; both must outlive
 // it.  Stop() closes the listeners and connections and joins the threads

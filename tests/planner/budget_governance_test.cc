@@ -1,5 +1,5 @@
-// Resource-governed planning end to end (ISSUE: deadlines, work budgets,
-// cooperative cancellation, graceful degradation).
+// Resource-governed planning end to end: deadlines, work budgets,
+// cooperative cancellation, graceful degradation.
 //
 // The adversarial workload is a symmetric chain — every subgoal the same
 // binary predicate — with 1-2 subgoal views over the same predicate. The
@@ -13,7 +13,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include "common/budget.h"
 #include "common/fault_injection.h"
@@ -21,6 +21,7 @@
 #include "engine/materialize.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
+#include "planner/service.h"
 #include "rewrite/certificate.h"
 #include "workload/generator.h"
 
@@ -52,12 +53,17 @@ Workload SmallChain() {
   return GenerateWorkload(wc);
 }
 
-ViewPlanner::Options GovernedOptions(ResourceLimits budget) {
+// The request budget travels with each Plan call (PlanRequestOptions); the
+// planner options only keep the ladder rungs test-fast.
+ViewPlanner::Options GovernedOptions() {
   ViewPlanner::Options options;
-  options.budget = budget;
-  options.fallback_work_budget = 5'000;  // keep ladder rungs test-fast
+  options.fallback_work_budget = 5'000;
   return options;
 }
+
+// A huge work limit installs a governor that never trips on its own, so
+// armed faults are the only exhaustion source.
+constexpr uint64_t kUntrippedWork = uint64_t{1} << 40;
 
 class BudgetGovernanceTest : public ::testing::Test {
  protected:
@@ -69,13 +75,12 @@ class BudgetGovernanceTest : public ::testing::Test {
 // returns promptly with kBudgetExhausted or a certified best-so-far plan.
 TEST_F(BudgetGovernanceTest, AdversarialChainRespectsDeadline) {
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.deadline_ms = 100;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
+                      GovernedOptions());
 
   const auto start = std::chrono::steady_clock::now();
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result =
+      planner.Plan(w.query, {.model = CostModel::kM2, .deadline_ms = 100});
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
@@ -106,10 +111,9 @@ TEST_F(BudgetGovernanceTest, WorkBudgetLadderIsSoundAtEveryLevel) {
   const Database instances = MaterializeViews(w.views, Database{});
   for (const uint64_t work_limit : {uint64_t{10}, uint64_t{500},
                                     uint64_t{2000}, uint64_t{5000}}) {
-    ResourceLimits budget;
-    budget.work_limit = work_limit;
-    ViewPlanner planner(w.views, instances, GovernedOptions(budget));
-    const auto result = planner.Plan(w.query, CostModel::kM2);
+    ViewPlanner planner(w.views, instances, GovernedOptions());
+    const auto result = planner.Plan(
+        w.query, {.model = CostModel::kM2, .work_limit = work_limit});
     ASSERT_TRUE(result.status == PlanStatus::kOk ||
                 result.status == PlanStatus::kBudgetExhausted)
         << "work_limit=" << work_limit << ": "
@@ -140,10 +144,9 @@ TEST_F(BudgetGovernanceTest, GenerousBudgetMatchesUngoverned) {
   const auto baseline = ungoverned.Plan(w.query, CostModel::kM2);
   ASSERT_TRUE(baseline.ok());
 
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner governed(w.views, instances, GovernedOptions(budget));
-  const auto result = governed.Plan(w.query, CostModel::kM2);
+  ViewPlanner governed(w.views, instances, GovernedOptions());
+  const auto result = governed.Plan(
+      w.query, {.model = CostModel::kM2, .work_limit = kUntrippedWork});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.degraded);
   EXPECT_EQ(result.exhaustion.kind, BudgetKind::kNone);
@@ -162,14 +165,11 @@ TEST_F(BudgetGovernanceTest, ExhaustedRunDoesNotPoisonTheCache) {
   const auto baseline = baseline_planner.Plan(w.query, CostModel::kM2);
   ASSERT_TRUE(baseline.ok());
 
-  // A huge work limit installs a governor that never trips on its own; the
-  // armed fault is the only exhaustion source.
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner planner(w.views, instances, GovernedOptions(budget));
+  ViewPlanner planner(w.views, instances, GovernedOptions());
   FaultRegistry::Global().Arm("corecover.minimize",
                               FaultKind::kBudgetExhausted, 1);
-  const auto faulted = planner.Plan(w.query, CostModel::kM2);
+  const auto faulted = planner.Plan(
+      w.query, {.model = CostModel::kM2, .work_limit = kUntrippedWork});
   FaultRegistry::Global().Reset();
   ASSERT_TRUE(faulted.status == PlanStatus::kOk ||
               faulted.status == PlanStatus::kBudgetExhausted);
@@ -194,14 +194,14 @@ TEST_F(BudgetGovernanceTest, ExhaustedRunDoesNotPoisonTheCache) {
 // probes as "no mapping" and cache the non-minimal result as a full answer.
 TEST_F(BudgetGovernanceTest, ExhaustedMinimizeSurfacesAndSkipsTheCache) {
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;  // never trips on its own
-  budget.search_node_cap = 4;  // every backtracking search aborts
-  ViewPlanner::Options options = GovernedOptions(budget);
+  ViewPlanner::Options options = GovernedOptions();
   options.enable_minicon_fallback = false;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(
+      w.query, {.model = CostModel::kM2,
+                .work_limit = kUntrippedWork,
+                .search_node_cap = 4});  // every backtracking search aborts
   ASSERT_EQ(result.status, PlanStatus::kBudgetExhausted)
       << PlanStatusName(result.status);
   EXPECT_EQ(result.exhaustion.kind, BudgetKind::kWork);
@@ -215,13 +215,12 @@ TEST_F(BudgetGovernanceTest, ExhaustedMinimizeSurfacesAndSkipsTheCache) {
 // retry must still deliver a certified plan.
 TEST_F(BudgetGovernanceTest, MiniConFallbackRecoversAPlan) {
   const Workload w = SmallChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
+                      GovernedOptions());
   FaultRegistry::Global().Arm("corecover.set_cover", FaultKind::kStageAbort,
                               1);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(
+      w.query, {.model = CostModel::kM2, .work_limit = kUntrippedWork});
   FaultRegistry::Global().Reset();
   ASSERT_EQ(result.status, PlanStatus::kOk)
       << PlanStatusName(result.status) << " " << result.error;
@@ -232,18 +231,87 @@ TEST_F(BudgetGovernanceTest, MiniConFallbackRecoversAPlan) {
   EXPECT_EQ(planner.cache_counters().insertions, 0u);
 }
 
+// The grace rungs take their deadline slice from the request governor, so
+// a request deadline bounds the ladder on every path. With unlimited grace
+// work (fallback_work_budget = 0) and set cover killed, the MiniCon fallback
+// over the adversarial chain runs for seconds unless that slice stops it.
+TEST_F(BudgetGovernanceTest, GraceRungsHonourTheRequestDeadline) {
+  const Workload w = AdversarialChain();
+  ViewPlanner::Options options;
+  options.fallback_work_budget = 0;  // unlimited grace work
+  ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
+                      options);
+  FaultRegistry::Global().Arm("corecover.set_cover", FaultKind::kStageAbort,
+                              1);
+  constexpr double kDeadlineMs = 100;
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = planner.Plan(
+      w.query, {.model = CostModel::kM2, .deadline_ms = kDeadlineMs});
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  FaultRegistry::Global().Reset();
+
+  // The request deadline plus a quarter of it per grace rung; the 20x
+  // bound leaves room for a loaded or sanitizer-instrumented host.
+  EXPECT_LT(elapsed_ms, 20 * kDeadlineMs);
+  ASSERT_TRUE(result.status == PlanStatus::kOk ||
+              result.status == PlanStatus::kBudgetExhausted)
+      << PlanStatusName(result.status);
+  EXPECT_NE(result.exhaustion.kind, BudgetKind::kNone);
+  if (result.ok()) {
+    EXPECT_TRUE(result.degraded);
+    EXPECT_TRUE(VerifyCertificate(result.choice->certificate, w.views));
+  }
+}
+
+// One budget path: a work-budgeted request planned in-process through
+// Plan(query, PlanRequestOptions) and the same request served by a
+// PlanningService come out identical — status, exhaustion site, rewriting
+// and cost — at every rung of the ladder.
+TEST_F(BudgetGovernanceTest, InProcessPlanMatchesTheServiceUnderAWorkBudget) {
+  const Workload w = AdversarialChain();
+  const Database instances = MaterializeViews(w.views, Database{});
+  auto key = [](const ViewPlanner::PlanResult& r) {
+    std::string s = PlanStatusName(r.status);
+    s += "|" + std::string(BudgetKindName(r.exhaustion.kind));
+    s += "|" + r.exhaustion.site;
+    s += "|" + std::to_string(r.degraded);
+    if (r.choice.has_value()) {
+      s += "|" + r.choice->logical.ToString();
+      s += "|" + std::to_string(r.choice->cost);
+    }
+    return s;
+  };
+  for (const uint64_t work_limit : {uint64_t{10}, uint64_t{500},
+                                    uint64_t{2000}, uint64_t{5000}}) {
+    const PlanRequestOptions request{.model = CostModel::kM2,
+                                     .work_limit = work_limit};
+    ViewPlanner in_process(w.views, instances, GovernedOptions());
+    const std::string expected = key(in_process.Plan(w.query, request));
+
+    ViewPlanner served(w.views, instances, GovernedOptions());
+    PlanningService service(&served, PlanningService::Options{});
+    const PlanningService::PlanResponse response =
+        service.Plan({.query = w.query, .options = request});
+    service.Shutdown();
+    ASSERT_TRUE(response.ok()) << "work_limit=" << work_limit;
+    EXPECT_EQ(key(response.result), expected) << "work_limit=" << work_limit;
+  }
+}
+
 // Disabling the fallback turns the same scenario into kBudgetExhausted.
 TEST_F(BudgetGovernanceTest, FallbackCanBeDisabled) {
   const Workload w = SmallChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner::Options options = GovernedOptions(budget);
+  ViewPlanner::Options options = GovernedOptions();
   options.enable_minicon_fallback = false;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
   FaultRegistry::Global().Arm("corecover.set_cover", FaultKind::kStageAbort,
                               1);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(
+      w.query, {.model = CostModel::kM2, .work_limit = kUntrippedWork});
   FaultRegistry::Global().Reset();
   EXPECT_EQ(result.status, PlanStatus::kBudgetExhausted);
   EXPECT_FALSE(result.choice.has_value());
@@ -260,11 +328,10 @@ TEST_F(BudgetGovernanceTest, DeadlineMetricIncrements) {
   const uint64_t exhausted_before = exhausted_metric->value();
 
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.deadline_ms = 50;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+                      GovernedOptions());
+  const auto result =
+      planner.Plan(w.query, {.model = CostModel::kM2, .deadline_ms = 50});
   ASSERT_NE(result.exhaustion.kind, BudgetKind::kNone);
   EXPECT_EQ(deadline_metric->value(), deadline_before + 1);
   EXPECT_EQ(exhausted_metric->value(), exhausted_before + 1);
@@ -274,14 +341,13 @@ TEST_F(BudgetGovernanceTest, DeadlineMetricIncrements) {
 // (satellite 2): both must be visible in the text and JSON renderings.
 TEST_F(BudgetGovernanceTest, ExplainSurfacesBudgetAndTruncation) {
   const Workload w = SmallChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner::Options options = GovernedOptions(budget);
+  ViewPlanner::Options options = GovernedOptions();
   options.core_cover.max_rewritings = 1;  // force the cap
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
   FaultRegistry::Global().Arm("cost.m2", FaultKind::kBudgetExhausted, 1);
-  const auto explanation = planner.Explain(w.query, CostModel::kM2);
+  const auto explanation = planner.Explain(
+      w.query, {.model = CostModel::kM2, .work_limit = kUntrippedWork});
   FaultRegistry::Global().Reset();
 
   ASSERT_TRUE(explanation.ok()) << explanation.error;
@@ -296,28 +362,6 @@ TEST_F(BudgetGovernanceTest, ExplainSurfacesBudgetAndTruncation) {
   EXPECT_NE(json.find("\"degraded\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"hit_rewriting_cap\":true"), std::string::npos)
       << json;
-}
-
-// PlanMany under a tiny budget: every batch member gets a valid status, and
-// an exhausted representative never feeds its duplicates a partial entry.
-TEST_F(BudgetGovernanceTest, PlanManySurvivesExhaustedRepresentative) {
-  const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.work_limit = 100;  // dies in CoreCover for every member
-  ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
-  const std::vector<ConjunctiveQuery> batch = {w.query, w.query, w.query};
-  const auto results = planner.PlanMany(batch, CostModel::kM2);
-  ASSERT_EQ(results.size(), batch.size());
-  for (const auto& result : results) {
-    ASSERT_TRUE(result.status == PlanStatus::kOk ||
-                result.status == PlanStatus::kBudgetExhausted)
-        << PlanStatusName(result.status);
-    if (result.ok()) {
-      EXPECT_TRUE(VerifyCertificate(result.choice->certificate, w.views));
-    }
-  }
-  EXPECT_EQ(planner.cache_counters().insertions, 0u);
 }
 
 }  // namespace

@@ -42,11 +42,14 @@ Workload MatrixWorkload() {
 
 ViewPlanner::Options MatrixOptions() {
   ViewPlanner::Options options;
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;  // governor present, never trips
-  options.budget = budget;
   options.fallback_work_budget = 50'000;
   return options;
+}
+
+// Every governed call plans under this request: a governor is present (so
+// armed faults fire) but its work limit never trips on its own.
+PlanRequestOptions MatrixRequest(CostModel model = CostModel::kM2) {
+  return {.model = model, .work_limit = uint64_t{1} << 40};
 }
 
 class FaultMatrixTest : public ::testing::Test {
@@ -65,12 +68,12 @@ std::vector<std::string> DiscoverSites(const Workload& w,
   registry.EnableRecording(true);
   {
     ViewPlanner planner(w.views, instances, MatrixOptions());
-    (void)planner.Plan(w.query, CostModel::kM2);
+    (void)planner.Plan(w.query, MatrixRequest());
   }
   registry.Arm("corecover.set_cover", FaultKind::kStageAbort, 1);
   {
     ViewPlanner planner(w.views, instances, MatrixOptions());
-    (void)planner.Plan(w.query, CostModel::kM2);
+    (void)planner.Plan(w.query, MatrixRequest());
   }
   std::vector<std::string> sites = registry.SeenSites();
   registry.Reset();
@@ -122,7 +125,7 @@ TEST_F(FaultMatrixTest, EverySiteSurvivesEveryFault) {
         registry.Reset();
         registry.Arm(site, kind, nth);
         ViewPlanner planner(w.views, instances, MatrixOptions());
-        const auto result = planner.Plan(w.query, CostModel::kM2);
+        const auto result = planner.Plan(w.query, MatrixRequest());
         // Some sites are crossed fewer than `nth` times on this workload;
         // then the fault never fires and the run is an ordinary success.
         const bool fired = registry.CrossingCount(site) >= nth;
@@ -147,7 +150,7 @@ TEST_F(FaultMatrixTest, EverySiteSurvivesEveryFault) {
 
         // Invariant 3: no cache poisoning — the same planner, disarmed,
         // reproduces the ungoverned answer exactly.
-        const auto recovered = planner.Plan(w.query, CostModel::kM2);
+        const auto recovered = planner.Plan(w.query, MatrixRequest());
         ASSERT_EQ(recovered.status, PlanStatus::kOk)
             << PlanStatusName(recovered.status) << " " << recovered.error;
         EXPECT_FALSE(recovered.degraded);
@@ -180,7 +183,7 @@ TEST_F(FaultMatrixTest, HotLoopSiteFiresOnLargeSearch) {
   options.fallback_work_budget = 5'000;  // keep the recovery ladder cheap
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(w.query, MatrixRequest());
   EXPECT_GE(registry.CrossingCount("cq.homomorphism"), 1u);
   registry.Reset();
   ASSERT_TRUE(result.status == PlanStatus::kOk ||
@@ -203,7 +206,7 @@ TEST_F(FaultMatrixTest, M3CostSiteIsGoverned) {
   auto& registry = FaultRegistry::Global();
   registry.Arm("cost.m3", FaultKind::kBudgetExhausted, 1);
   ViewPlanner planner(w.views, instances, MatrixOptions());
-  const auto result = planner.Plan(w.query, CostModel::kM3);
+  const auto result = planner.Plan(w.query, MatrixRequest(CostModel::kM3));
   const bool fired = registry.CrossingCount("cost.m3") >= 1;
   registry.Reset();
   EXPECT_TRUE(fired);

@@ -1,6 +1,6 @@
 // Regression tests for the planner's failure paths: queries beyond the
 // 64-subgoal fragment, and rewritings too wide for the M2 join-order
-// search, must flow through PlanResult / PlanMany as
+// search, must flow through PlanResult as
 // kUnsupportedQueryTooLarge without corrupting the cache, and Explain must
 // report failed plans instead of crashing.
 
@@ -72,26 +72,10 @@ TEST(PlannerErrorPathsTest, TooLargeQueryDoesNotPoisonTheCache) {
   EXPECT_EQ(planner.cache_counters().misses, 2u);
 }
 
-TEST(PlannerErrorPathsTest, PlanManyCarriesPerQueryStatuses) {
-  const ViewPlanner planner(SmallViews(), Database());
-  const std::vector<ConjunctiveQuery> batch = {
-      MustParseQuery("q(X,Y) :- p0(X,Y)."),
-      WideQuery(65),
-      MustParseQuery("q(X,Y) :- p2(X,Y)."),  // No view covers p2.
-      WideQuery(65),                          // Dedups with the earlier one.
-  };
-  const auto results = planner.PlanMany(batch, CostModel::kM1);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].status, PlanStatus::kOk);
-  EXPECT_EQ(results[1].status, PlanStatus::kUnsupportedQueryTooLarge);
-  EXPECT_FALSE(results[1].error.empty());
-  EXPECT_EQ(results[2].status, PlanStatus::kNoRewriting);
-  EXPECT_EQ(results[3].status, PlanStatus::kUnsupportedQueryTooLarge);
-}
-
 TEST(PlannerErrorPathsTest, ExplainReportsTooLargeWithoutCrashing) {
   const ViewPlanner planner(SmallViews(), Database());
-  const auto explanation = planner.Explain(WideQuery(65), CostModel::kM2);
+  const auto explanation =
+      planner.Explain(WideQuery(65), {.model = CostModel::kM2});
   EXPECT_EQ(explanation.status, PlanStatus::kUnsupportedQueryTooLarge);
   EXPECT_FALSE(explanation.ok());
   EXPECT_FALSE(explanation.error.empty());
@@ -110,7 +94,8 @@ TEST(PlannerErrorPathsTest, ExplainReportsTooLargeWithoutCrashing) {
 TEST(PlannerErrorPathsTest, ExplainReportsNoRewriting) {
   const ViewPlanner planner(SmallViews(), Database());
   const auto explanation =
-      planner.Explain(MustParseQuery("q(X,Y) :- p2(X,Y)."), CostModel::kM2);
+      planner.Explain(MustParseQuery("q(X,Y) :- p2(X,Y)."),
+                      {.model = CostModel::kM2});
   EXPECT_EQ(explanation.status, PlanStatus::kNoRewriting);
   EXPECT_TRUE(explanation.candidates.empty());
   std::string error;
@@ -164,11 +149,11 @@ TEST(PlannerErrorPathsTest, RewritingTooWideToCostReportsUnsupportedStatus) {
   const auto m1 = planner.Plan(wide, CostModel::kM1);
   ASSERT_EQ(m1.status, PlanStatus::kOk);
   EXPECT_EQ(m1.choice->cost, 22u);
-  const auto explanation = planner.Explain(wide, CostModel::kM1);
+  const auto explanation = planner.Explain(wide, {.model = CostModel::kM1});
   ASSERT_TRUE(explanation.ok());
   ASSERT_EQ(explanation.breakdown.size(), 1u);
   EXPECT_EQ(explanation.breakdown[0].model, CostModel::kM1);
-  EXPECT_EQ(planner.Explain(wide, CostModel::kM2).status,
+  EXPECT_EQ(planner.Explain(wide, {.model = CostModel::kM2}).status,
             PlanStatus::kUnsupportedQueryTooLarge);
 
   // A short chain still plans under M2.

@@ -134,7 +134,8 @@ TEST(PlannerTraceTest, UntracedPlanEmitsNothingAndAgrees) {
 TEST(PlannerExplainTest, ExplainAgreesWithPlan) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
-  const auto explanation = planner.Explain(f.query, CostModel::kM2);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM2});
   ASSERT_TRUE(explanation.ok());
   ASSERT_TRUE(explanation.choice.has_value());
   EXPECT_EQ(explanation.cache_disposition, "miss");
@@ -179,7 +180,8 @@ TEST(PlannerExplainTest, ExplainAgreesWithPlan) {
 TEST(PlannerExplainTest, JsonRoundTripsThroughParser) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
-  const auto explanation = planner.Explain(f.query, CostModel::kM2);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM2});
   ASSERT_TRUE(explanation.ok());
 
   std::string error;
@@ -229,7 +231,8 @@ TEST(PlannerExplainTest, ExplainOnTheHitPathReportsHit) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
   ASSERT_TRUE(planner.Plan(f.query, CostModel::kM2).ok());
-  const auto explanation = planner.Explain(f.query, CostModel::kM2);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM2});
   ASSERT_TRUE(explanation.ok());
   EXPECT_TRUE(explanation.cache_hit);
   EXPECT_EQ(explanation.cache_disposition, "hit");
@@ -240,7 +243,8 @@ TEST(PlannerExplainTest, ExplainWithDisabledCacheReportsDisabled) {
   ViewPlanner::Options options;
   options.enable_cache = false;
   const ViewPlanner planner(f.views, f.instances, options);
-  const auto explanation = planner.Explain(f.query, CostModel::kM1);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM1});
   ASSERT_TRUE(explanation.ok());
   EXPECT_EQ(explanation.cache_disposition, "disabled");
 }

@@ -130,5 +130,70 @@ TEST(PlannerTest, PlanChoiceToStringIsInformative) {
   EXPECT_NE(text.find("M2"), std::string::npos);
 }
 
+TEST(PlannerTest, ReplaceViewsInvalidatesCachedPlans) {
+  const auto query = MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)");
+  const ViewSet wide = MustParseProgram("v(A,B,C) :- r(A,B), s(B,C)");
+  const ViewSet narrow = MustParseProgram(R"(
+    vr(A,B) :- r(A,B)
+    vs(A,B) :- s(A,B)
+  )");
+  Database base;
+  base.AddRow("r", {1, 2});
+  base.AddRow("s", {2, 3});
+
+  ViewPlanner planner(wide, MaterializeViews(wide, base));
+  const auto before = planner.Plan(query, CostModel::kM1);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before.choice->logical.num_subgoals(), 1u);
+  EXPECT_EQ(planner.cache_size(), 1u);
+
+  planner.ReplaceViews(narrow, MaterializeViews(narrow, base));
+  EXPECT_EQ(planner.cache_epoch(), 1u);
+  EXPECT_EQ(planner.cache_size(), 0u);
+  const auto after = planner.Plan(query, CostModel::kM1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.cache_hit);  // the old entry must not be served
+  EXPECT_EQ(after.choice->logical.num_subgoals(), 2u);
+  EXPECT_TRUE(planner.Execute(*after.choice).Contains({1, 3}));
+}
+
+TEST(PlannerTest, TooLargeQueriesReportUnsupported) {
+  // 65 subgoals overflow the 64-bit tuple-core bitmask.
+  std::string text = "q(X0)";
+  std::string sep = " :- ";
+  for (int i = 0; i < 65; ++i) {
+    text += sep + "p" + std::to_string(i) + "(X" + std::to_string(i) + ",X" +
+            std::to_string(i + 1) + ")";
+    sep = ", ";
+  }
+  const auto query = MustParseQuery(text);
+  const ViewSet views = MustParseProgram("v(A,B) :- p0(A,B)");
+  ViewPlanner planner(views, Database{});
+  const auto result = planner.Plan(query, CostModel::kM2);
+  EXPECT_EQ(result.status, PlanStatus::kUnsupportedQueryTooLarge);
+  EXPECT_FALSE(result.ok());
+  EXPECT_FALSE(result.error.empty());
+  // The negative outcome is cached, status intact.
+  const auto again = planner.Plan(query, CostModel::kM2);
+  EXPECT_EQ(again.status, PlanStatus::kUnsupportedQueryTooLarge);
+  EXPECT_TRUE(again.cache_hit);
+}
+
+// Migrated off the deprecated PlanOrNull shim: Plan's status-bearing result
+// covers both the positive outcome and the "no rewriting" distinction the
+// shim collapsed into nullopt.
+TEST(PlannerTest, PlanDistinguishesSuccessFromNoRewriting) {
+  const ViewSet views = CarLocPartViews();
+  ViewPlanner planner(views, MaterializeViews(views, Database{}));
+  const auto result = planner.Plan(CarLocPartQuery(), CostModel::kM1);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result.choice.has_value());
+  EXPECT_EQ(result.choice->logical.ToString(), "q1(S,C) :- v4(M,a,C,S)");
+  const auto none =
+      planner.Plan(MustParseQuery("q(X) :- unknown(X,Y)"), CostModel::kM1);
+  EXPECT_EQ(none.status, PlanStatus::kNoRewriting);
+  EXPECT_FALSE(none.choice.has_value());
+}
+
 }  // namespace
 }  // namespace vbr

@@ -121,18 +121,26 @@ TEST(PlanRequestOptionsTest, StricterOfTakesTheTighterOfEachLimit) {
   a.search_node_cap = 10;
 
   PlanRequestOptions b;
-  b.model = CostModel::kM1;  // model is NOT merged: a's model wins
   b.deadline_ms = 50;
   b.work_limit = 1000;
   b.memory_limit_bytes = 0;  // unlimited
   b.search_node_cap = 20;
 
-  const PlanRequestOptions merged = a.StricterOf(b);
-  EXPECT_EQ(merged.model, a.model);
+  // The one stricter-wins merge (common/budget.h), as a service applies it
+  // to a request's limits and its own cap.
+  const ResourceLimits merged = a.limits().StricterOf(b.limits());
   EXPECT_EQ(merged.deadline_ms, 50);
   EXPECT_EQ(merged.work_limit, 1000u);
   EXPECT_EQ(merged.memory_limit_bytes, 4096u);
   EXPECT_EQ(merged.search_node_cap, 10u);
+  // Order-free, so a chain of caps merges the same way in any order.
+  const ResourceLimits reversed = b.limits().StricterOf(a.limits());
+  EXPECT_EQ(reversed.deadline_ms, merged.deadline_ms);
+  EXPECT_EQ(reversed.work_limit, merged.work_limit);
+  EXPECT_EQ(reversed.memory_limit_bytes, merged.memory_limit_bytes);
+  EXPECT_EQ(reversed.search_node_cap, merged.search_node_cap);
+  // Unset on both sides stays unset.
+  EXPECT_TRUE(ResourceLimits{}.StricterOf(ResourceLimits{}).unlimited());
 }
 
 }  // namespace

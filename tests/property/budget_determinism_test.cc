@@ -108,10 +108,10 @@ TEST(BudgetDeterminismTest, GovernedPlannerIsDeterministic) {
 
   auto run = [&](uint64_t work_limit) {
     ViewPlanner::Options options;
-    options.budget.work_limit = work_limit;
     options.fallback_work_budget = 10'000;
     ViewPlanner planner(w.views, instances, options);
-    const auto r = planner.Plan(w.query, CostModel::kM2);
+    const auto r = planner.Plan(
+        w.query, {.model = CostModel::kM2, .work_limit = work_limit});
     std::string s = PlanStatusName(r.status);
     s += "|" + std::string(BudgetKindName(r.exhaustion.kind));
     s += "|" + r.exhaustion.site;

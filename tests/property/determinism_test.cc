@@ -1,8 +1,8 @@
 // Reproducibility: the entire pipeline must be deterministic — same inputs,
 // byte-identical outputs — across repeated in-process runs and across
-// concurrent callers (service workers and PlanMany tasks run CoreCover side
-// by side). (Fresh-variable NAMES differ between runs by design; the checks
-// below compare structures that must not depend on them.)
+// concurrent callers (service workers run CoreCover side by side).
+// (Fresh-variable NAMES differ between runs by design; the checks below
+// compare structures that must not depend on them.)
 
 #include <gtest/gtest.h>
 

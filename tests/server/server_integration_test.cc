@@ -635,6 +635,31 @@ TEST(PlanServerTest, ChainTooWideToCostIsAnUnsupportedStatusOverHttp) {
   EXPECT_NE(narrow.find("\"status\":\"ok\""), std::string::npos) << narrow;
 }
 
+// GET /explain plans under the same service budget cap as every /plan: a
+// one-unit work cap must show up as an exhausted budget in its JSON.
+TEST(PlanServerTest, ExplainRunsUnderTheServiceBudgetCap) {
+  const ViewSet views = MustParseProgram("v(A,B) :- e(A,B).");
+  const std::optional<Database> base = ParseDatabase("e(1,2). e(2,3).");
+  ViewPlanner planner(views, MaterializeViews(views, *base));
+  PlanningService::Options service_options;
+  service_options.budget.work_limit = 1;
+  PlanningService service(&planner, service_options);
+  server::PlanServer server(&service, server::PlanServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const std::string response = HttpExchange(
+      server.http_port(),
+      "GET /explain?q=q(X0,X2)%20:-%20e(X0,X1),%20e(X1,X2)&model=m2 "
+      "HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+  server.Stop();
+  service.Shutdown();
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"budget\":{\"exhausted\":true"),
+            std::string::npos)
+      << response;
+}
+
 TEST(PlanServerTest, LoadDriverFloodLosesNothing) {
   ServerFixture fx(25);
   net::LoadDriverOptions load;
