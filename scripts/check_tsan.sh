@@ -27,7 +27,8 @@ cmake -B "$BUILD_DIR" -S . \
   -DVBR_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target symbol_concurrency_test \
-  determinism_test plan_cache_test view_delta_test \
+  determinism_test plan_cache_test plan_cache_metamorphic_test \
+  view_delta_test \
   budget_determinism_test budget_governance_test fault_matrix_test \
   fault_injection_test stress_harness_test circuit_breaker_test \
   signature_prefilter_test server_integration_test

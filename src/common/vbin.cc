@@ -39,23 +39,37 @@ void AppendVarint(std::string& out, uint64_t value) {
   out.push_back(static_cast<char>(value));
 }
 
+namespace {
+
+void AppendLittleEndian(std::string& out, uint64_t value, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+  }
+}
+
+}  // namespace
+
 void AppendF64(std::string& out, double value) {
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-  }
+  AppendLittleEndian(out, bits, 8);
 }
 
 void AppendU8(std::string& out, uint8_t value) {
   out.push_back(static_cast<char>(value));
 }
 
+void AppendU16(std::string& out, uint16_t value) {
+  AppendLittleEndian(out, value, 2);
+}
+
 void AppendU32(std::string& out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
+  AppendLittleEndian(out, value, 4);
+}
+
+void AppendU64(std::string& out, uint64_t value) {
+  AppendLittleEndian(out, value, 8);
 }
 
 void AppendBytes(std::string& out, std::string_view bytes) {
@@ -96,51 +110,37 @@ bool Reader::ReadVarint(uint64_t* value) {
   return false;
 }
 
-bool Reader::ReadF64(double* value) {
+bool Reader::ReadLittleEndian(size_t width, const char* what,
+                              uint64_t* value) {
   if (!error_.empty()) return false;
-  if (bytes_.size() - pos_ < 8) {
-    Fail("f64 truncated");
+  if (bytes_.size() - pos_ < width) {
+    Fail(std::string(what) + " truncated");
     return false;
   }
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-  }
-  pos_ += 8;
-  std::memcpy(value, &bits, sizeof(*value));
-  return true;
-}
-
-bool Reader::ReadU8(uint8_t* value) {
-  if (!error_.empty()) return false;
-  if (pos_ >= bytes_.size()) {
-    Fail("u8 truncated");
-    return false;
-  }
-  *value = static_cast<uint8_t>(bytes_[pos_++]);
-  return true;
-}
-
-bool Reader::ReadU32(uint32_t* value) {
-  if (!error_.empty()) return false;
-  if (bytes_.size() - pos_ < 4) {
-    Fail("u32 truncated");
-    return false;
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
          << (8 * i);
   }
-  pos_ += 4;
+  pos_ += width;
   *value = v;
+  return true;
+}
+
+bool Reader::ReadF64(double* value) {
+  uint64_t bits = 0;
+  if (!ReadLittleEndian(8, "f64", &bits)) return false;
+  std::memcpy(value, &bits, sizeof(*value));
   return true;
 }
 
 bool Reader::ReadBytes(std::string_view* bytes) {
   uint64_t length = 0;
-  if (!ReadVarint(&length)) return false;
+  return ReadVarint(&length) && ReadRaw(length, bytes);
+}
+
+bool Reader::ReadRaw(uint64_t length, std::string_view* bytes) {
+  if (!error_.empty()) return false;
   if (length > bytes_.size() - pos_) {
     Fail("byte string truncated");
     return false;

@@ -79,8 +79,11 @@ void AppendVarint(std::string& out, uint64_t value);
 // Appends the 8-byte little-endian bit pattern (exact round trip, NaN and
 // all — doubles are never formatted as text).
 void AppendF64(std::string& out, double value);
+// Fixed-width little-endian integers.
 void AppendU8(std::string& out, uint8_t value);
+void AppendU16(std::string& out, uint16_t value);
 void AppendU32(std::string& out, uint32_t value);
+void AppendU64(std::string& out, uint64_t value);
 // varint length + raw bytes.
 void AppendBytes(std::string& out, std::string_view bytes);
 
@@ -93,10 +96,15 @@ class Reader {
 
   bool ReadVarint(uint64_t* value);
   bool ReadF64(double* value);
-  bool ReadU8(uint8_t* value);
-  bool ReadU32(uint32_t* value);
-  // Points into the underlying buffer (no copy).
+  bool ReadU8(uint8_t* value) { return ReadFixed(value, "u8"); }
+  bool ReadU16(uint16_t* value) { return ReadFixed(value, "u16"); }
+  bool ReadU32(uint32_t* value) { return ReadFixed(value, "u32"); }
+  bool ReadU64(uint64_t* value) { return ReadFixed(value, "u64"); }
+  // Varint length + that many bytes. Points into the underlying buffer (no
+  // copy).
   bool ReadBytes(std::string_view* bytes);
+  // Exactly `length` bytes, pointing into the underlying buffer.
+  bool ReadRaw(uint64_t length, std::string_view* bytes);
   bool ReadBool(bool* value);  // u8, must be 0 or 1
 
   bool ok() const { return error_.empty(); }
@@ -110,6 +118,17 @@ class Reader {
   Status ToStatus(std::string_view context) const;
 
  private:
+  // Reads a `width`-byte little-endian integer; `what` names it in the
+  // truncation error.
+  bool ReadLittleEndian(size_t width, const char* what, uint64_t* value);
+  template <typename T>
+  bool ReadFixed(T* value, const char* what) {
+    uint64_t v = 0;
+    if (!ReadLittleEndian(sizeof(T), what, &v)) return false;
+    *value = static_cast<T>(v);
+    return true;
+  }
+
   std::string_view bytes_;
   size_t pos_ = 0;
   std::string error_;

@@ -37,6 +37,11 @@ struct M3OptimizationResult {
   bool aborted = false;
 };
 
+// Widest rewriting the planner sends to OptimizeM3; wider M3 plans take the
+// M2 order plus supplementary-relation drops instead (the search is
+// exponential in the width).
+inline constexpr size_t kMaxM3Subgoals = 6;
+
 // With an active `trace`, emits an "optimize_m3" span recording the chosen
 // cost and the number of complete plans evaluated.
 M3OptimizationResult OptimizeM3(const ConjunctiveQuery& rewriting,

@@ -1,78 +1,53 @@
 #include "net/frame.h"
 
 #include <cmath>
-#include <cstring>
+
+#include "common/vbin.h"
 
 namespace vbr::net {
 
 namespace {
 
-// Little-endian primitive writers.  memcpy of the value assumes a
-// little-endian host (x86-64 / aarch64, the supported targets); the tests
-// round-trip through these same helpers so skew would be caught in CI on
-// any big-endian port.
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU16(std::string* out, uint16_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutF64(std::string* out, double v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
+// The fixed-width little-endian primitives are VBIN's (common/vbin.h); the
+// wire's own conventions are the u32-length string (also the framing: a
+// frame is its payload as one such string) and the common header.
+void AppendString(std::string& out, std::string_view s) {
+  vbin::AppendU32(out, static_cast<uint32_t>(s.size()));
+  out.append(s);
 }
 
-// Bounds-checked little-endian reader over a payload.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
+bool ReadString(vbin::Reader& r, std::string* out) {
+  uint32_t length = 0;
+  std::string_view bytes;
+  if (!r.ReadU32(&length) || !r.ReadRaw(length, &bytes)) return false;
+  out->assign(bytes);
+  return true;
+}
 
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == data_.size(); }
+void AppendHeader(std::string& payload, FrameKind kind, uint16_t flags,
+                  uint64_t request_id) {
+  vbin::AppendU8(payload, kProtocolVersion);
+  vbin::AppendU8(payload, static_cast<uint8_t>(kind));
+  vbin::AppendU16(payload, flags);
+  vbin::AppendU64(payload, request_id);
+}
 
-  uint8_t U8() { return ReadScalar<uint8_t>(); }
-  uint16_t U16() { return ReadScalar<uint16_t>(); }
-  uint32_t U32() { return ReadScalar<uint32_t>(); }
-  uint64_t U64() { return ReadScalar<uint64_t>(); }
-  double F64() { return ReadScalar<double>(); }
-
-  std::string String() {
-    const uint32_t len = U32();
-    if (!ok_ || data_.size() - pos_ < len) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
- private:
-  template <typename T>
-  T ReadScalar() {
-    T v{};
-    if (!ok_ || data_.size() - pos_ < sizeof(T)) {
-      ok_ = false;
-      return v;
-    }
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
+// Reads the common header. *request_id stays 0 unless the header was
+// intact, so an error response can still be correlated with its request.
+DecodeStatus ReadHeader(vbin::Reader& r, FrameKind expected, uint16_t* flags,
+                        uint64_t* request_id) {
+  uint8_t version = 0;
+  uint8_t kind = 0;
+  *request_id = 0;
+  r.ReadU8(&version);
+  r.ReadU8(&kind);
+  r.ReadU16(flags);
+  r.ReadU64(request_id);
+  if (!r.ok()) return DecodeStatus::kMalformed;
+  if (version > kProtocolVersion) return DecodeStatus::kVersionSkew;
+  if (kind != static_cast<uint8_t>(expected)) return DecodeStatus::kBadKind;
+  return DecodeStatus::kOk;
+}
 
 // Wire cost-model codes are 1-based so that a zeroed payload is invalid.
 uint8_t ModelCode(CostModel model) {
@@ -145,60 +120,52 @@ const char* DecodeStatusName(DecodeStatus status) {
 
 void EncodePlanRequest(const PlanRequestFrame& frame, std::string* out) {
   std::string payload;
-  PutU8(&payload, kProtocolVersion);
-  PutU8(&payload, static_cast<uint8_t>(FrameKind::kPlanRequest));
   uint16_t flags = 0;
   if (frame.query_is_handle) flags |= kFlagQueryIsHandle;
   if (frame.want_certificate) flags |= kFlagWantCertificate;
-  PutU16(&payload, flags);
-  PutU64(&payload, frame.request_id);
-  PutU8(&payload, ModelCode(frame.options.model));
-  PutF64(&payload, frame.options.deadline_ms);
-  PutU64(&payload, frame.options.work_limit);
-  PutU64(&payload, frame.options.memory_limit_bytes);
-  PutU64(&payload, frame.options.search_node_cap);
+  AppendHeader(payload, FrameKind::kPlanRequest, flags, frame.request_id);
+  vbin::AppendU8(payload, ModelCode(frame.options.model));
+  vbin::AppendF64(payload, frame.options.deadline_ms);
+  vbin::AppendU64(payload, frame.options.work_limit);
+  vbin::AppendU64(payload, frame.options.memory_limit_bytes);
+  vbin::AppendU64(payload, frame.options.search_node_cap);
   if (frame.query_is_handle) {
     std::string handle_bytes;
-    PutU64(&handle_bytes, frame.query_handle);
-    PutString(&payload, handle_bytes);
+    vbin::AppendU64(handle_bytes, frame.query_handle);
+    AppendString(payload, handle_bytes);
   } else {
-    PutString(&payload, frame.query_text);
+    AppendString(payload, frame.query_text);
   }
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  out->append(payload);
+  AppendString(*out, payload);
 }
 
 void EncodePlanResponse(const PlanResponseFrame& frame, std::string* out) {
   std::string payload;
-  PutU8(&payload, kProtocolVersion);
-  PutU8(&payload, static_cast<uint8_t>(FrameKind::kPlanResponse));
   uint16_t flags = 0;
   if (frame.cache_hit) flags |= kFlagCacheHit;
   if (frame.degraded) flags |= kFlagDegraded;
   if (frame.served_from_cache_only) flags |= kFlagServedFromCacheOnly;
   if (frame.model_demoted) flags |= kFlagModelDemoted;
-  PutU16(&payload, flags);
-  PutU64(&payload, frame.request_id);
-  PutU8(&payload, static_cast<uint8_t>(frame.status));
-  PutU8(&payload, frame.reject_reason);
-  PutU8(&payload, frame.plan_status);
-  PutU8(&payload, frame.attempts);
-  PutU32(&payload, frame.service_level);
-  PutF64(&payload, frame.queue_wait_ms);
-  PutU64(&payload, frame.cost);
-  PutU64(&payload, frame.query_handle);
-  PutString(&payload, frame.rewriting);
-  PutString(&payload, frame.certificate);
-  PutString(&payload, frame.error);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  out->append(payload);
+  AppendHeader(payload, FrameKind::kPlanResponse, flags, frame.request_id);
+  vbin::AppendU8(payload, static_cast<uint8_t>(frame.status));
+  vbin::AppendU8(payload, frame.reject_reason);
+  vbin::AppendU8(payload, frame.plan_status);
+  vbin::AppendU8(payload, frame.attempts);
+  vbin::AppendU32(payload, frame.service_level);
+  vbin::AppendF64(payload, frame.queue_wait_ms);
+  vbin::AppendU64(payload, frame.cost);
+  vbin::AppendU64(payload, frame.query_handle);
+  AppendString(payload, frame.rewriting);
+  AppendString(payload, frame.certificate);
+  AppendString(payload, frame.error);
+  AppendString(*out, payload);
 }
 
 DecodeStatus ExtractFrame(std::string_view buffer, uint32_t max_payload,
                           std::string_view* payload, size_t* consumed) {
   if (buffer.size() < sizeof(uint32_t)) return DecodeStatus::kNeedMore;
   uint32_t len = 0;
-  std::memcpy(&len, buffer.data(), sizeof(len));
+  vbin::Reader(buffer).ReadU32(&len);
   if (len > max_payload) return DecodeStatus::kTooLarge;
   if (buffer.size() - sizeof(uint32_t) < len) return DecodeStatus::kNeedMore;
   *payload = buffer.substr(sizeof(uint32_t), len);
@@ -208,25 +175,22 @@ DecodeStatus ExtractFrame(std::string_view buffer, uint32_t max_payload,
 
 DecodeStatus DecodePlanRequest(std::string_view payload,
                                PlanRequestFrame* out) {
-  Reader r(payload);
-  const uint8_t version = r.U8();
-  const uint8_t kind = r.U8();
-  const uint16_t flags = r.U16();
-  out->request_id = r.U64();
-  if (!r.ok()) return DecodeStatus::kMalformed;
-  if (version > kProtocolVersion) return DecodeStatus::kVersionSkew;
-  if (kind != static_cast<uint8_t>(FrameKind::kPlanRequest)) {
-    return DecodeStatus::kBadKind;
-  }
+  vbin::Reader r(payload);
+  uint16_t flags = 0;
+  const DecodeStatus header =
+      ReadHeader(r, FrameKind::kPlanRequest, &flags, &out->request_id);
+  if (header != DecodeStatus::kOk) return header;
   out->query_is_handle = (flags & kFlagQueryIsHandle) != 0;
   out->want_certificate = (flags & kFlagWantCertificate) != 0;
-  const uint8_t model_code = r.U8();
-  out->options.deadline_ms = r.F64();
-  out->options.work_limit = r.U64();
-  out->options.memory_limit_bytes = r.U64();
-  out->options.search_node_cap = r.U64();
-  const std::string query = r.String();
-  if (!r.ok() || !r.exhausted()) return DecodeStatus::kMalformed;
+  uint8_t model_code = 0;
+  std::string query;
+  r.ReadU8(&model_code);
+  r.ReadF64(&out->options.deadline_ms);
+  r.ReadU64(&out->options.work_limit);
+  r.ReadU64(&out->options.memory_limit_bytes);
+  r.ReadU64(&out->options.search_node_cap);
+  ReadString(r, &query);
+  if (!r.ok() || !r.AtEnd()) return DecodeStatus::kMalformed;
   if (!ModelFromCode(model_code, &out->options.model)) {
     return DecodeStatus::kMalformed;
   }
@@ -237,7 +201,7 @@ DecodeStatus DecodePlanRequest(std::string_view payload,
   }
   if (out->query_is_handle) {
     if (query.size() != sizeof(uint64_t)) return DecodeStatus::kMalformed;
-    std::memcpy(&out->query_handle, query.data(), sizeof(uint64_t));
+    vbin::Reader(query).ReadU64(&out->query_handle);
     out->query_text.clear();
   } else {
     out->query_text = query;
@@ -248,32 +212,28 @@ DecodeStatus DecodePlanRequest(std::string_view payload,
 
 DecodeStatus DecodePlanResponse(std::string_view payload,
                                 PlanResponseFrame* out) {
-  Reader r(payload);
-  const uint8_t version = r.U8();
-  const uint8_t kind = r.U8();
-  const uint16_t flags = r.U16();
-  out->request_id = r.U64();
-  if (!r.ok()) return DecodeStatus::kMalformed;
-  if (version > kProtocolVersion) return DecodeStatus::kVersionSkew;
-  if (kind != static_cast<uint8_t>(FrameKind::kPlanResponse)) {
-    return DecodeStatus::kBadKind;
-  }
+  vbin::Reader r(payload);
+  uint16_t flags = 0;
+  const DecodeStatus header =
+      ReadHeader(r, FrameKind::kPlanResponse, &flags, &out->request_id);
+  if (header != DecodeStatus::kOk) return header;
   out->cache_hit = (flags & kFlagCacheHit) != 0;
   out->degraded = (flags & kFlagDegraded) != 0;
   out->served_from_cache_only = (flags & kFlagServedFromCacheOnly) != 0;
   out->model_demoted = (flags & kFlagModelDemoted) != 0;
-  const uint8_t status = r.U8();
-  out->reject_reason = r.U8();
-  out->plan_status = r.U8();
-  out->attempts = r.U8();
-  out->service_level = r.U32();
-  out->queue_wait_ms = r.F64();
-  out->cost = r.U64();
-  out->query_handle = r.U64();
-  out->rewriting = r.String();
-  out->certificate = r.String();
-  out->error = r.String();
-  if (!r.ok() || !r.exhausted()) return DecodeStatus::kMalformed;
+  uint8_t status = 0;
+  r.ReadU8(&status);
+  r.ReadU8(&out->reject_reason);
+  r.ReadU8(&out->plan_status);
+  r.ReadU8(&out->attempts);
+  r.ReadU32(&out->service_level);
+  r.ReadF64(&out->queue_wait_ms);
+  r.ReadU64(&out->cost);
+  r.ReadU64(&out->query_handle);
+  ReadString(r, &out->rewriting);
+  ReadString(r, &out->certificate);
+  ReadString(r, &out->error);
+  if (!r.ok() || !r.AtEnd()) return DecodeStatus::kMalformed;
   if (status > static_cast<uint8_t>(WireStatus::kUnknownHandle)) {
     return DecodeStatus::kMalformed;
   }

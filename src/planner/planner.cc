@@ -69,14 +69,25 @@ EquivalenceCertificate TransportCertificate(const EquivalenceCertificate& cert,
   return out;
 }
 
-// Records the budget outcome of one planning request into the global
-// metrics registry (no-op when no budget died).
-void RecordBudgetMetrics(const BudgetExhaustion& exhaustion) {
-  if (exhaustion.kind == BudgetKind::kNone) return;
+// Total plan-cache entries across all shards.
+constexpr size_t kPlanCacheCapacity = 1024;
+
+// Stamps one planning request's result with the budget outcome of the
+// governor installed around it and records that outcome into the global
+// metrics registry. A plan that survived an exhausted budget is degraded:
+// costing or certification was starved, so it is certified-correct but may
+// not be the cheapest candidate.
+void StampExhaustion(ViewPlanner::PlanResult* result) {
+  const ResourceGovernor* const governor = ResourceGovernor::Current();
+  if (governor != nullptr && governor->exhausted()) {
+    result->exhaustion = governor->exhaustion();
+    result->degraded = result->status == PlanStatus::kOk;
+  }
+  if (result->exhaustion.kind == BudgetKind::kNone) return;
   static Counter* const exhausted =
       MetricsRegistry::Global().GetCounter("planner.budget_exhausted");
   exhausted->Increment();
-  if (exhaustion.kind == BudgetKind::kDeadline) {
+  if (result->exhaustion.kind == BudgetKind::kDeadline) {
     static Counter* const deadline =
         MetricsRegistry::Global().GetCounter("planner.deadline_exceeded");
     deadline->Increment();
@@ -126,20 +137,12 @@ std::string ViewPlanner::PlanChoice::ToString() const {
 
 namespace {
 
-std::string SizesToString(const std::vector<size_t>& sizes) {
+// "[3 1 2]" with separator " ", "[3,1,2]" with ",".
+std::string SizesToString(const std::vector<size_t>& sizes,
+                          std::string_view separator) {
   std::string s = "[";
   for (size_t i = 0; i < sizes.size(); ++i) {
-    if (i > 0) s += " ";
-    s += std::to_string(sizes[i]);
-  }
-  s += "]";
-  return s;
-}
-
-std::string SizesToJson(const std::vector<size_t>& sizes) {
-  std::string s = "[";
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    if (i > 0) s += ",";
+    if (i > 0) s += separator;
     s += std::to_string(sizes[i]);
   }
   s += "]";
@@ -167,6 +170,29 @@ std::string StatsToJson(const CoreCoverStats& stats) {
   s += ",\"work_used\":" + std::to_string(stats.work_used);
   s += ",\"hit_rewriting_cap\":" +
        std::string(stats.hit_rewriting_cap ? "true" : "false");
+  s += "}";
+  return s;
+}
+
+// The "budget" object PlanResult and PlanExplanation both carry.
+std::string BudgetToJson(const BudgetExhaustion& exhaustion, bool degraded) {
+  std::string s = "{\"exhausted\":" +
+                  std::string(exhaustion.kind != BudgetKind::kNone ? "true"
+                                                                   : "false");
+  s += ",\"kind\":" + Quoted(BudgetKindName(exhaustion.kind));
+  s += ",\"site\":" + Quoted(exhaustion.site);
+  s += ",\"degraded\":" + std::string(degraded ? "true" : "false") + "}";
+  return s;
+}
+
+// The "plan" object PlanResult and PlanExplanation both carry.
+std::string PlanToJson(const std::optional<ViewPlanner::PlanChoice>& choice) {
+  if (!choice.has_value()) return "null";
+  std::string s = "{";
+  s += "\"logical\":" + Quoted(choice->logical.ToString());
+  s += ",\"physical\":" + Quoted(choice->physical.ToString());
+  s += ",\"cost\":" + std::to_string(choice->cost);
+  s += ",\"model\":" + Quoted(ModelName(choice->model));
   s += "}";
   return s;
 }
@@ -211,12 +237,12 @@ std::string ViewPlanner::PlanExplanation::ToText() const {
     s += "breakdown:\n";
     for (const ModelBreakdown& b : breakdown) {
       s += "  " + std::string(ModelName(b.model)) + ": cost " +
-           std::to_string(b.cost) + ", order " + SizesToString(b.order);
+           std::to_string(b.cost) + ", order " + SizesToString(b.order, " ");
       if (!b.relation_sizes.empty()) {
-        s += ", relation sizes " + SizesToString(b.relation_sizes);
+        s += ", relation sizes " + SizesToString(b.relation_sizes, " ");
       }
       if (!b.state_sizes.empty()) {
-        s += ", intermediate sizes " + SizesToString(b.state_sizes);
+        s += ", intermediate sizes " + SizesToString(b.state_sizes, " ");
       }
       s += "\n";
     }
@@ -231,11 +257,7 @@ std::string ViewPlanner::PlanExplanation::ToJson() const {
   s += ",\"model\":" + Quoted(ModelName(model));
   s += ",\"cache\":" + Quoted(cache_disposition);
   s += ",\"cache_hit\":" + std::string(cache_hit ? "true" : "false");
-  s += ",\"budget\":{\"exhausted\":" +
-       std::string(exhaustion.kind != BudgetKind::kNone ? "true" : "false");
-  s += ",\"kind\":" + Quoted(BudgetKindName(exhaustion.kind));
-  s += ",\"site\":" + Quoted(exhaustion.site);
-  s += ",\"degraded\":" + std::string(degraded ? "true" : "false") + "}";
+  s += ",\"budget\":" + BudgetToJson(exhaustion, degraded);
   s += ",\"query\":" + Quoted(query.ToString());
   s += ",\"minimized\":" + Quoted(minimized.ToString());
   s += ",\"candidates\":[";
@@ -249,25 +271,16 @@ std::string ViewPlanner::PlanExplanation::ToJson() const {
     s += ",\"reason\":" + Quoted(c.reason) + "}";
   }
   s += "]";
-  if (choice.has_value()) {
-    s += ",\"plan\":{";
-    s += "\"logical\":" + Quoted(choice->logical.ToString());
-    s += ",\"physical\":" + Quoted(choice->physical.ToString());
-    s += ",\"cost\":" + std::to_string(choice->cost);
-    s += ",\"model\":" + Quoted(ModelName(choice->model));
-    s += "}";
-  } else {
-    s += ",\"plan\":null";
-  }
+  s += ",\"plan\":" + PlanToJson(choice);
   s += ",\"breakdown\":[";
   for (size_t i = 0; i < breakdown.size(); ++i) {
     const ModelBreakdown& b = breakdown[i];
     if (i > 0) s += ",";
     s += "{\"model\":" + Quoted(ModelName(b.model));
     s += ",\"cost\":" + std::to_string(b.cost);
-    s += ",\"order\":" + SizesToJson(b.order);
-    s += ",\"relation_sizes\":" + SizesToJson(b.relation_sizes);
-    s += ",\"state_sizes\":" + SizesToJson(b.state_sizes) + "}";
+    s += ",\"order\":" + SizesToString(b.order, ",");
+    s += ",\"relation_sizes\":" + SizesToString(b.relation_sizes, ",");
+    s += ",\"state_sizes\":" + SizesToString(b.state_sizes, ",") + "}";
   }
   s += "]";
   s += ",\"stats\":" + StatsToJson(stats);
@@ -282,21 +295,8 @@ std::string ViewPlanner::PlanResult::ToJson() const {
   s += "\"status\":" + Quoted(PlanStatusName(status));
   s += ",\"error\":" + Quoted(error);
   s += ",\"cache_hit\":" + std::string(cache_hit ? "true" : "false");
-  s += ",\"budget\":{\"exhausted\":" +
-       std::string(exhaustion.kind != BudgetKind::kNone ? "true" : "false");
-  s += ",\"kind\":" + Quoted(BudgetKindName(exhaustion.kind));
-  s += ",\"site\":" + Quoted(exhaustion.site);
-  s += ",\"degraded\":" + std::string(degraded ? "true" : "false") + "}";
-  if (choice.has_value()) {
-    s += ",\"plan\":{";
-    s += "\"logical\":" + Quoted(choice->logical.ToString());
-    s += ",\"physical\":" + Quoted(choice->physical.ToString());
-    s += ",\"cost\":" + std::to_string(choice->cost);
-    s += ",\"model\":" + Quoted(ModelName(choice->model));
-    s += "}";
-  } else {
-    s += ",\"plan\":null";
-  }
+  s += ",\"budget\":" + BudgetToJson(exhaustion, degraded);
+  s += ",\"plan\":" + PlanToJson(choice);
   s += ",\"stats\":" + StatsToJson(stats);
   s += "}";
   return s;
@@ -308,7 +308,7 @@ ViewPlanner::ViewPlanner(ViewSet views, Database view_instances)
 ViewPlanner::ViewPlanner(ViewSet views, Database view_instances,
                          Options options)
     : options_(options),
-      cache_(std::make_unique<PlanCache>(options.cache_capacity)) {
+      cache_(std::make_unique<PlanCache>(kPlanCacheCapacity)) {
   for (const View& v : views) {
     VBR_CHECK_MSG(v.IsSafe(), "unsafe view definition");
   }
@@ -350,7 +350,7 @@ std::optional<ViewPlanner::CostedPlan> ViewPlanner::CostRewriting(
     return out;
   }
   if (model == CostModel::kM3 &&
-      logical.num_subgoals() <= options_.max_m3_subgoals) {
+      logical.num_subgoals() <= kMaxM3Subgoals) {
     auto m3 = OptimizeM3(logical, query, vs.views, vs.instances, trace);
     out.plan = std::move(m3.plan);
     out.cost = m3.cost;
@@ -376,8 +376,7 @@ bool ViewPlanner::CostAndPick(
     std::vector<PlanExplanation::Candidate>* capture) const {
   TraceSpan span(trace, "cost_and_pick");
   span.AddAttribute("candidates", static_cast<uint64_t>(rewritings.size()));
-  const bool use_filters =
-      options_.use_filters && model != CostModel::kM1 && !filter_atoms.empty();
+  const bool use_filters = model != CostModel::kM1 && !filter_atoms.empty();
   best->model = model;
   best->cost = std::numeric_limits<size_t>::max();
   *winner_index = 0;
@@ -449,17 +448,6 @@ ResourceLimits GraceLimits(uint64_t work_budget) {
 
 }  // namespace
 
-std::optional<EquivalenceCertificate> ViewPlanner::GraceCertify(
-    const ViewSnapshot& vs, const ConjunctiveQuery& rewriting,
-    const ConjunctiveQuery& minimized) const {
-  // A fresh governor shields the certification search from the exhausted
-  // request governor (otherwise the dead budget would starve its own
-  // recovery); the grace budget keeps it bounded.
-  ResourceGovernor governor(GraceLimits(options_.fallback_work_budget));
-  GovernorScope scope(&governor);
-  return CertifyEquivalentRewriting(rewriting, minimized, vs.views);
-}
-
 ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
     const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
     const CoreCoverResult& cc_result, const TraceContext& trace,
@@ -507,22 +495,18 @@ ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
   best.certificate = std::move(*certificate);
   out.choice = std::move(best);
   out.status = PlanStatus::kOk;
-  out.degraded = true;
   out.error.clear();
   return out;
 }
 
 ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
     const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
-    const CoreCoverOptions& cc_options, const CanonicalQuery* canonical,
+    const CanonicalQuery* canonical, const TraceContext& trace,
     PlanExplanation* explain) const {
-  // The request's budget is whatever governor the caller installed
-  // (possibly none).
-  ResourceGovernor* const governor = ResourceGovernor::Current();
-
   // M1 needs only the GMRs; M2/M3 search all minimal rewritings. The
   // snapshot's candidate index rides along (same catalog by construction).
-  CoreCoverOptions cc = cc_options;
+  CoreCoverOptions cc = options_.core_cover;
+  cc.trace = trace;
   if (cc.use_view_index && vs.index != nullptr) cc.view_index = vs.index.get();
   const CoreCoverResult result =
       model == CostModel::kM1 ? CoreCover(query, vs.views, cc)
@@ -566,72 +550,24 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
   }
 
   if (explain != nullptr) explain->minimized = result.minimized_query;
-  PlanChoice best;
-  size_t winner = 0;
-  bool winner_filtered = false;
   if (result.status == CoreCoverStatus::kUnsupportedQueryTooLarge) {
     out.status = PlanStatus::kUnsupportedQueryTooLarge;
     out.error = result.error;
   } else if (!result.has_rewriting) {
     if (exhausted_run) {
       // Nothing survived before the budget died; last rung of the ladder.
-      out = MiniConFallback(vs, query, model, result, cc_options.trace,
-                            explain);
+      out = MiniConFallback(vs, query, model, result, trace, explain);
     } else {
       out.status = PlanStatus::kNoRewriting;
     }
-  } else if (!CostAndPick(vs, query, model, result.rewritings, filter_atoms,
-                          &best, &winner, &winner_filtered, cc_options.trace,
-                          explain != nullptr ? &explain->candidates
-                                             : nullptr)) {
-    // Under an exhausted budget the optimizers abort and report SIZE_MAX
-    // costs, so the pick degrades toward emission order but stays total;
-    // only rewritings too wide to cost at all leave nothing to pick.
-    out.status = PlanStatus::kUnsupportedQueryTooLarge;
-    out.error = TooWideToCostError(model);
   } else {
-    // Certify the winner against the minimized core (the certificate covers
-    // the logical plan; the M3 physical plan may execute a renamed variant,
-    // proven answer-equal by the optimizer's renaming-safety test).
-    TraceSpan certify_span(cc_options.trace, "certify");
-    std::optional<EquivalenceCertificate> certificate;
-    if (governor == nullptr || !governor->exhausted()) {
-      certificate =
-          CertifyEquivalentRewriting(best.logical, result.minimized_query,
-                                     vs.views);
-    }
-    const bool exhausted_now = governor != nullptr && governor->exhausted();
-    if (!certificate.has_value() && exhausted_now) {
-      // Best-so-far grace certification: the rewriting is genuine (every
-      // emitted cover is), only the certification search was starved.
-      certificate = GraceCertify(vs, best.logical, result.minimized_query);
-      certify_span.AddAttribute("grace", true);
-    }
-    VBR_CHECK_MSG(certificate.has_value() || exhausted_now,
-                  "planner produced an uncertifiable rewriting");
-    if (!certificate.has_value()) {
-      out.status = PlanStatus::kBudgetExhausted;
-      out.exhaustion = governor->exhaustion();
-      out.error = ExhaustionMessage(out.exhaustion,
-                                    "before the chosen rewriting could be "
-                                    "certified");
-    } else {
-      if (entry != nullptr && !winner_filtered) {
-        entry->StoreCertificate(
-            winner,
-            TransportCertificate(*certificate, canonical->to_canonical));
-      }
-      best.certificate = std::move(*certificate);
-      out.choice = std::move(best);
-      out.status = PlanStatus::kOk;
-    }
+    const Substitution none;
+    FinishPlan(vs, query, model, result.rewritings, filter_atoms,
+               result.minimized_query, entry.get(),
+               canonical != nullptr ? canonical->to_canonical : none,
+               canonical != nullptr ? canonical->from_canonical : none, trace,
+               explain, &out);
   }
-
-  if (governor != nullptr && governor->exhausted()) {
-    out.exhaustion = governor->exhaustion();
-    out.degraded = out.status == PlanStatus::kOk;
-  }
-  RecordBudgetMetrics(out.exhaustion);
 
   if (entry != nullptr) {
     // Keyed to the snapshot's epoch: if a ReplaceViews landed while this
@@ -648,14 +584,11 @@ ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
     const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
     const CachedPlan& entry, const Substitution& transport,
     const TraceContext& trace, PlanExplanation* explain) const {
-  // Cache hits re-cost and re-certify against current instances, so they
-  // run under the same installed request governor as a fresh plan.
-  ResourceGovernor* const governor = ResourceGovernor::Current();
-
   PlanResult out;
   out.cache_hit = true;
   out.stats = entry.stats;
-  if (explain != nullptr) explain->minimized = transport.Apply(entry.minimized);
+  const ConjunctiveQuery minimized = transport.Apply(entry.minimized);
+  if (explain != nullptr) explain->minimized = minimized;
   if (entry.status != CoreCoverStatus::kOk) {
     out.status = PlanStatus::kUnsupportedQueryTooLarge;
     out.error = entry.error;
@@ -666,8 +599,8 @@ ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
     return out;
   }
 
-  // Transport the cached logical rewritings into this query's variables and
-  // re-cost them against the CURRENT view instances.
+  // Transport the cached logical rewritings into this query's variables;
+  // FinishPlan re-costs them against the CURRENT view instances.
   std::vector<ConjunctiveQuery> rewritings;
   rewritings.reserve(entry.rewritings.size());
   for (const ConjunctiveQuery& r : entry.rewritings) {
@@ -678,78 +611,92 @@ ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
   for (const Atom& a : entry.filter_atoms) {
     filter_atoms.push_back(transport.Apply(a));
   }
+  FinishPlan(vs, query, model, rewritings, filter_atoms, minimized, &entry,
+             InvertRenaming(transport), transport, trace, explain, &out);
+  return out;
+}
 
+void ViewPlanner::FinishPlan(const ViewSnapshot& vs,
+                             const ConjunctiveQuery& query, CostModel model,
+                             const std::vector<ConjunctiveQuery>& rewritings,
+                             const std::vector<Atom>& filter_atoms,
+                             const ConjunctiveQuery& minimized,
+                             const CachedPlan* entry,
+                             const Substitution& to_entry,
+                             const Substitution& from_entry,
+                             const TraceContext& trace,
+                             PlanExplanation* explain, PlanResult* out) const {
   PlanChoice best;
   size_t winner = 0;
   bool winner_filtered = false;
   if (!CostAndPick(vs, query, model, rewritings, filter_atoms, &best, &winner,
                    &winner_filtered, trace,
                    explain != nullptr ? &explain->candidates : nullptr)) {
-    out.status = PlanStatus::kUnsupportedQueryTooLarge;
-    out.error = TooWideToCostError(model);
-    return out;
+    // Under an exhausted budget the optimizers abort and report SIZE_MAX
+    // costs, so the pick degrades toward emission order but stays total;
+    // only rewritings too wide to cost at all leave nothing to pick.
+    out->status = PlanStatus::kUnsupportedQueryTooLarge;
+    out->error = TooWideToCostError(model);
+    return;
   }
 
-  // Certificate: reuse the cached one when the winner is the bare cached
-  // rewriting (re-verified after transport — transport is a pure renaming,
-  // but the verifier is cheap and search-free, so trust nothing). A
-  // filtered winner differs from the cached rewriting and is re-certified.
+  // Certify the winner against the minimized core (the certificate covers
+  // the logical plan; the M3 physical plan may execute a renamed variant,
+  // proven answer-equal by the optimizer's renaming-safety test). A
+  // certificate the entry already holds for a bare (unfiltered) winner is
+  // reused once it re-verifies after transport — transport is a pure
+  // renaming, but the verifier is cheap and search-free, so trust nothing.
+  // A filtered winner differs from the cached rewriting and is certified
+  // afresh.
   TraceSpan certify_span(trace, "certify");
-  bool certified = false;
-  if (!winner_filtered) {
-    if (auto cached_cert = entry.certificate(winner)) {
-      EquivalenceCertificate cert =
-          TransportCertificate(*cached_cert, transport);
+  const ResourceGovernor* const governor = ResourceGovernor::Current();
+  std::optional<EquivalenceCertificate> certificate;
+  bool reused = false;
+  if (entry != nullptr && !winner_filtered) {
+    if (auto cached = entry->certificate(winner)) {
+      EquivalenceCertificate cert = TransportCertificate(*cached, from_entry);
       if (VerifyCertificate(cert, vs.views)) {
-        best.certificate = std::move(cert);
-        certified = true;
+        certificate = std::move(cert);
+        reused = true;
       }
     }
   }
-  if (!certified) {
-    const ConjunctiveQuery minimized = transport.Apply(entry.minimized);
-    std::optional<EquivalenceCertificate> certificate;
-    if (governor == nullptr || !governor->exhausted()) {
-      certificate =
-          CertifyEquivalentRewriting(best.logical, minimized, vs.views);
-    }
-    if (!certificate.has_value() && governor != nullptr &&
-        governor->exhausted()) {
-      certificate = GraceCertify(vs, best.logical, minimized);
-      certify_span.AddAttribute("grace", true);
-    }
-    if (!certificate.has_value()) {
-      // Only a starved certification search may fail here — a cached
-      // rewriting that genuinely fails to certify is a planner bug.
-      VBR_CHECK_MSG(governor != nullptr && governor->exhausted(),
-                    "cached rewriting failed certification");
-      certify_span.End();
-      out.status = PlanStatus::kBudgetExhausted;
-      out.exhaustion = governor->exhaustion();
-      out.error = ExhaustionMessage(out.exhaustion,
-                                    "while certifying a cached plan");
-      RecordBudgetMetrics(out.exhaustion);
-      return out;
-    }
-    if (!winner_filtered) {
-      entry.StoreCertificate(
-          winner,
-          TransportCertificate(*certificate, InvertRenaming(transport)));
-    }
-    best.certificate = std::move(*certificate);
+  if (!certificate.has_value() &&
+      (governor == nullptr || !governor->exhausted())) {
+    certificate = CertifyEquivalentRewriting(best.logical, minimized, vs.views);
   }
-  certify_span.AddAttribute("reused_cached", certified);
+  const bool exhausted = governor != nullptr && governor->exhausted();
+  if (!certificate.has_value() && exhausted) {
+    // Best-so-far grace certification: the rewriting is genuine (every
+    // emitted cover is), only the certification search was starved. A fresh
+    // governor shields it from the exhausted request governor (otherwise
+    // the dead budget would starve its own recovery); the grace budget
+    // keeps it bounded.
+    ResourceGovernor grace(GraceLimits(options_.fallback_work_budget));
+    GovernorScope scope(&grace);
+    certificate = CertifyEquivalentRewriting(best.logical, minimized, vs.views);
+    certify_span.AddAttribute("grace", true);
+  }
+  // Only a starved certification search may fail here — a rewriting that
+  // genuinely fails to certify is a planner bug.
+  VBR_CHECK_MSG(certificate.has_value() || exhausted,
+                "planner produced an uncertifiable rewriting");
+  certify_span.AddAttribute("reused_cached", reused);
   certify_span.End();
-  out.choice = std::move(best);
-  out.status = PlanStatus::kOk;
-  if (governor != nullptr && governor->exhausted()) {
-    // Costing (or first-pass certification) was starved: the plan is
-    // certified-correct but may not be the cheapest candidate.
-    out.exhaustion = governor->exhaustion();
-    out.degraded = true;
-    RecordBudgetMetrics(out.exhaustion);
+  if (!certificate.has_value()) {
+    out->status = PlanStatus::kBudgetExhausted;
+    out->exhaustion = governor->exhaustion();
+    out->error = ExhaustionMessage(
+        out->exhaustion, "before the chosen rewriting could be certified");
+    return;
   }
-  return out;
+  if (entry != nullptr && !winner_filtered && !reused) {
+    entry->StoreCertificate(winner,
+                            TransportCertificate(*certificate, to_entry));
+  }
+  best.certificate = std::move(*certificate);
+  out->choice = std::move(best);
+  out->status = PlanStatus::kOk;
 }
 
 ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
@@ -781,18 +728,39 @@ ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
   return Plan(query, request.model, trace);
 }
 
+ViewPlanner::CacheLookup ViewPlanner::LookUp(const ViewSnapshot& vs,
+                                             const ConjunctiveQuery& query,
+                                             CostModel model,
+                                             const TraceContext& trace) const {
+  CacheLookup out;
+  {
+    TraceSpan canon_span(trace, "canonicalize");
+    out.canonical = CanonicalizeQuery(query);
+    canon_span.AddAttribute("exact", out.canonical.fingerprint.exact);
+  }
+  TraceSpan lookup_span(trace, "cache_lookup");
+  std::optional<Substitution> fallback;
+  out.entry = cache_->Lookup(out.canonical.fingerprint, model,
+                             out.canonical.minimized, &fallback, vs.epoch,
+                             vs.delta_epoch);
+  lookup_span.AddAttribute("outcome", out.entry != nullptr ? "hit" : "miss");
+  if (out.entry != nullptr) {
+    out.transport = fallback ? *std::move(fallback)
+                             : out.canonical.from_canonical;
+  }
+  return out;
+}
+
 std::optional<ViewPlanner::PlanResult> ViewPlanner::TryPlanFromCache(
     const ConjunctiveQuery& query, CostModel model) const {
   if (!options_.enable_cache || query.HasBuiltins()) return std::nullopt;
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
-  const CanonicalQuery canonical = CanonicalizeQuery(query);
-  std::optional<Substitution> fallback;
-  const PlanCache::EntryPtr entry =
-      cache_->Lookup(canonical.fingerprint, model, canonical.minimized,
-                     &fallback, snapshot->epoch, snapshot->delta_epoch);
-  if (entry == nullptr) return std::nullopt;
-  return PlanFromEntry(*snapshot, query, model, *entry,
-                       fallback ? *fallback : canonical.from_canonical);
+  const CacheLookup lookup = LookUp(*snapshot, query, model, {});
+  if (lookup.entry == nullptr) return std::nullopt;
+  PlanResult result = PlanFromEntry(*snapshot, query, model, *lookup.entry,
+                                    lookup.transport, {}, nullptr);
+  StampExhaustion(&result);
+  return result;
 }
 
 ViewPlanner::PlanResult ViewPlanner::PlanInternal(
@@ -814,38 +782,21 @@ ViewPlanner::PlanResult ViewPlanner::PlanInternal(
   // as they always did).
   if (!options_.enable_cache || query.HasBuiltins()) {
     disposition = options_.enable_cache ? "bypass" : "disabled";
-    CoreCoverOptions cc = options_.core_cover;
-    cc.trace = span.context();
-    result = PlanViaCoreCover(vs, query, model, cc, nullptr, explain);
+    result = PlanViaCoreCover(vs, query, model, nullptr, span.context(),
+                              explain);
   } else {
-    std::optional<CanonicalQuery> canonical;
-    {
-      TraceSpan canon_span(span.context(), "canonicalize");
-      canonical = CanonicalizeQuery(query);
-      canon_span.AddAttribute("exact", canonical->fingerprint.exact);
-    }
-    std::optional<Substitution> fallback;
-    PlanCache::EntryPtr entry;
-    {
-      TraceSpan lookup_span(span.context(), "cache_lookup");
-      entry = cache_->Lookup(canonical->fingerprint, model,
-                             canonical->minimized, &fallback, vs.epoch,
-                             vs.delta_epoch);
-      lookup_span.AddAttribute("outcome",
-                               entry != nullptr ? "hit" : "miss");
-    }
-    if (entry != nullptr) {
+    const CacheLookup lookup = LookUp(vs, query, model, span.context());
+    if (lookup.entry != nullptr) {
       disposition = "hit";
-      result = PlanFromEntry(vs, query, model, *entry,
-                             fallback ? *fallback : canonical->from_canonical,
+      result = PlanFromEntry(vs, query, model, *lookup.entry, lookup.transport,
                              span.context(), explain);
     } else {
       disposition = "miss";
-      CoreCoverOptions cc = options_.core_cover;
-      cc.trace = span.context();
-      result = PlanViaCoreCover(vs, query, model, cc, &*canonical, explain);
+      result = PlanViaCoreCover(vs, query, model, &lookup.canonical,
+                                span.context(), explain);
     }
   }
+  StampExhaustion(&result);
   span.AddAttribute("cache", disposition);
   span.AddAttribute("status", PlanStatusName(result.status));
   if (result.exhaustion.kind != BudgetKind::kNone) {

@@ -162,15 +162,8 @@ class ViewPlanner {
     // (max_rewritings defaults to 64 here — the facade bounds the costing
     // loop tighter than the raw pipeline's 1024).
     CoreCoverOptions core_cover;
-    // Let the advisor append selective filtering subgoals (M2/M3 only).
-    bool use_filters = true;
-    // M3 plans wider than this fall back to M2 ordering with SR drops
-    // (the cost-based M3 search is exponential).
-    size_t max_m3_subgoals = 6;
     // Serve repeated (isomorphic) queries from the plan cache.
     bool enable_cache = true;
-    // Total plan-cache entries across all shards.
-    size_t cache_capacity = 1024;
     // Work-unit budget for the degradation ladder: grace certification of a
     // best-so-far rewriting and the MiniCon fallback each run under a fresh
     // governor with this work limit, shielded from the exhausted request
@@ -366,26 +359,53 @@ class ViewPlanner {
 
   // Shared Plan/Explain entry: plans with optional tracing and, when
   // `explain` is non-null, records candidates / cache disposition /
-  // minimized core into it.
+  // minimized core into it. Every result leaves stamped with the installed
+  // governor's budget outcome.
   PlanResult PlanInternal(const ViewSnapshot& vs,
                           const ConjunctiveQuery& query, CostModel model,
                           const TraceContext& trace,
                           PlanExplanation* explain) const;
-  // Runs CoreCover + costing for `query`. When `canonical` is non-null the
-  // logical outcome is also inserted into the cache.
+  struct CacheLookup {
+    CanonicalQuery canonical;
+    std::shared_ptr<const CachedPlan> entry;  // null on a miss
+    // On a hit: renames the entry's canonical variables into the query's.
+    Substitution transport;
+  };
+  // Canonicalizes `query` and probes the cache under `vs`'s epochs,
+  // emitting the "canonicalize" and "cache_lookup" spans.
+  CacheLookup LookUp(const ViewSnapshot& vs, const ConjunctiveQuery& query,
+                     CostModel model, const TraceContext& trace) const;
+  // Miss (or bypass) path: runs CoreCover for `query`, then FinishPlan on
+  // its rewritings, or the MiniCon fallback when the budget died before
+  // any was found. When `canonical` is non-null the logical outcome is
+  // also inserted into the cache.
   PlanResult PlanViaCoreCover(const ViewSnapshot& vs,
                               const ConjunctiveQuery& query, CostModel model,
-                              const CoreCoverOptions& cc_options,
                               const CanonicalQuery* canonical,
+                              const TraceContext& trace,
                               PlanExplanation* explain) const;
-  // Re-costs a cached entry for `query`. `transport` renames the entry's
-  // canonical variables into the caller's.
+  // Hit path: renames a cached entry into `query`'s variables through
+  // `transport` and hands it to FinishPlan.
   PlanResult PlanFromEntry(const ViewSnapshot& vs,
                            const ConjunctiveQuery& query, CostModel model,
                            const CachedPlan& entry,
                            const Substitution& transport,
-                           const TraceContext& trace = {},
-                           PlanExplanation* explain = nullptr) const;
+                           const TraceContext& trace,
+                           PlanExplanation* explain) const;
+  // The one finish of fresh and cached plans, all in the query's own
+  // variables: CostAndPick over `rewritings` and `filter_atoms`, then
+  // certify the winner against `minimized`. A certificate `entry` holds for
+  // the winner (renamed by `from_entry`) is reused when it verifies; a new
+  // one (grace-certified when the installed governor is exhausted) is
+  // stored into `entry` through `to_entry`. `entry` may be null.
+  void FinishPlan(const ViewSnapshot& vs, const ConjunctiveQuery& query,
+                  CostModel model,
+                  const std::vector<ConjunctiveQuery>& rewritings,
+                  const std::vector<Atom>& filter_atoms,
+                  const ConjunctiveQuery& minimized, const CachedPlan* entry,
+                  const Substitution& to_entry, const Substitution& from_entry,
+                  const TraceContext& trace, PlanExplanation* explain,
+                  PlanResult* out) const;
   // A physical plan for one logical rewriting and its cost.
   struct CostedPlan {
     PhysicalPlan plan;
@@ -395,7 +415,7 @@ class ViewPlanner {
   // `logical` under `model` against the snapshot's instances. M1 counts
   // subgoals in written order; M2 runs the exact subset DP; M3 runs the
   // exhaustive order/drop search (renaming-safety checked against `query`)
-  // up to max_m3_subgoals and the M2 order plus SR drops beyond. Returns
+  // up to kMaxM3Subgoals and the M2 order plus SR drops beyond. Returns
   // nullopt when an M2/M3 rewriting is wider than kMaxM2Subgoals.
   std::optional<CostedPlan> CostRewriting(CostModel model,
                                           const ConjunctiveQuery& logical,
@@ -413,19 +433,14 @@ class ViewPlanner {
                    const std::vector<ConjunctiveQuery>& rewritings,
                    const std::vector<Atom>& filter_atoms, PlanChoice* best,
                    size_t* winner_index, bool* winner_filtered,
-                   const TraceContext& trace = {},
-                   std::vector<PlanExplanation::Candidate>* capture =
-                       nullptr) const;
-  // Re-certifies `rewriting` against `minimized` under a fresh governor with
-  // fallback_work_budget work units, shielded from the caller's (exhausted)
-  // governor. Used when the request budget died mid-certification.
-  std::optional<EquivalenceCertificate> GraceCertify(
-      const ViewSnapshot& vs, const ConjunctiveQuery& rewriting,
-      const ConjunctiveQuery& minimized) const;
+                   const TraceContext& trace,
+                   std::vector<PlanExplanation::Candidate>* capture) const;
   // Last rung of the degradation ladder: the request budget died before
-  // CoreCover found any rewriting. Retries with a work-budgeted MiniCon run
-  // (when enable_minicon_fallback) and certifies its winner; otherwise (or
-  // when MiniCon's grace budget dies too) returns kBudgetExhausted.
+  // CoreCover found any rewriting. Retries with a MiniCon run under a grace
+  // governor of fallback_work_budget work units (when
+  // enable_minicon_fallback) and certifies its winner under the same
+  // governor; otherwise (or when that budget dies too) returns
+  // kBudgetExhausted with CoreCover's exhaustion.
   PlanResult MiniConFallback(const ViewSnapshot& vs,
                              const ConjunctiveQuery& query, CostModel model,
                              const CoreCoverResult& cc_result,

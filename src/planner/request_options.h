@@ -16,10 +16,7 @@ namespace vbr {
 // should be served: which cost model, how long it may run, and how much
 // work/memory it may consume. Every entry point consumes the same struct —
 // in-process ViewPlanner::Plan / PlanningService::Submit, vbr_cli flags,
-// the binary wire protocol (net/frame.h), and the HTTP /plan endpoint —
-// replacing the per-surface option structs that used to drift apart
-// (ViewPlanner::Options' request budget, PlanningService::PlanRequest's
-// model/deadline pair, ad-hoc CLI flag plumbing).
+// the binary wire protocol (net/frame.h), and the HTTP /plan endpoint.
 //
 // All limits are "0 = unset". ViewPlanner::Plan installs them as given (one
 // fresh governor around the call). A PlanningService, and so the wire

@@ -134,6 +134,97 @@ TEST(FrameTest, ResponseRoundTripProperty) {
   }
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return hex;
+}
+
+// Pins the exact bytes of one request and one response, field by field in
+// docs/PROTOCOL.md order (the round-trip properties above would pass for
+// any self-consistent layout).
+TEST(FrameTest, GoldenBytesMatchTheProtocolSpec) {
+  PlanRequestFrame request;
+  request.request_id = 0x0102030405060708;
+  request.want_certificate = true;
+  request.options.model = CostModel::kM2;
+  request.options.deadline_ms = 1.5;
+  request.options.work_limit = 1000;
+  request.options.search_node_cap = 7;
+  request.query_text = "q(X) :- r(X)";
+  const std::string expected_request =
+      "3d000000"                  // u32 payload length (61)
+      "01"                        // version
+      "01"                        // kind: plan request
+      "0200"                      // flags: kFlagWantCertificate
+      "0807060504030201"          // request_id
+      "02"                        // model: M2
+      "000000000000f83f"          // deadline_ms: 1.5
+      "e803000000000000"          // work_limit: 1000
+      "0000000000000000"          // memory_limit_bytes
+      "0700000000000000"          // search_node_cap: 7
+      "0c000000"                  // query length
+      "71285829203a2d2072285829";  // "q(X) :- r(X)"
+  std::string request_wire;
+  EncodePlanRequest(request, &request_wire);
+  EXPECT_EQ(Hex(request_wire), expected_request);
+
+  PlanResponseFrame response;
+  response.request_id = 42;
+  response.status = WireStatus::kOk;
+  response.cache_hit = true;
+  response.degraded = true;
+  response.plan_status = 0;
+  response.attempts = 1;
+  response.service_level = 2;
+  response.queue_wait_ms = 0.25;
+  response.cost = 9;
+  response.query_handle = 0x1122334455667788;
+  response.rewriting = "q(X) :- v(X)";
+  const std::string expected_response =
+      "44000000"                  // u32 payload length (68)
+      "01"                        // version
+      "02"                        // kind: plan response
+      "0300"                      // flags: kFlagCacheHit | kFlagDegraded
+      "2a00000000000000"          // request_id: 42
+      "00"                        // status: ok
+      "00"                        // reject_reason
+      "00"                        // plan_status: kOk
+      "01"                        // attempts
+      "02000000"                  // service_level: 2
+      "000000000000d03f"          // queue_wait_ms: 0.25
+      "0900000000000000"          // cost: 9
+      "8877665544332211"          // query_handle
+      "0c000000"                  // rewriting length
+      "71285829203a2d2076285829"  // "q(X) :- v(X)"
+      "00000000"                  // certificate: empty
+      "00000000";                 // error: empty
+  std::string response_wire;
+  EncodePlanResponse(response, &response_wire);
+  EXPECT_EQ(Hex(response_wire), expected_response);
+
+  // The pinned bytes decode back to the frames they were made from.
+  std::string_view payload;
+  size_t consumed = 0;
+  PlanRequestFrame decoded_request;
+  ASSERT_EQ(ExtractFrame(request_wire, kDefaultMaxPayload, &payload,
+                         &consumed),
+            DecodeStatus::kOk);
+  ASSERT_EQ(DecodePlanRequest(payload, &decoded_request), DecodeStatus::kOk);
+  ExpectRequestEq(decoded_request, request);
+  PlanResponseFrame decoded_response;
+  ASSERT_EQ(ExtractFrame(response_wire, kDefaultMaxPayload, &payload,
+                         &consumed),
+            DecodeStatus::kOk);
+  ASSERT_EQ(DecodePlanResponse(payload, &decoded_response),
+            DecodeStatus::kOk);
+  ExpectResponseEq(decoded_response, response);
+}
+
 TEST(FrameTest, BackToBackFramesExtractOneAtATime) {
   std::mt19937_64 rng(7);
   std::string wire;

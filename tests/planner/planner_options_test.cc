@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cost/m3_optimizer.h"
 #include "cq/parser.h"
 #include "engine/evaluator.h"
 #include "engine/materialize.h"
@@ -9,7 +10,7 @@ namespace vbr {
 namespace {
 
 // A query wide enough that the M3 cost-based search must fall back to the
-// M2-order + supplementary-drops path (max_m3_subgoals below its width).
+// M2-order + supplementary-drops path (kMaxM3Subgoals below its width).
 struct WideFixture {
   ConjunctiveQuery query = MustParseQuery(
       "q(X1,X7) :- p1(X1,X2), p2(X2,X3), p3(X3,X4), p4(X4,X5), p5(X5,X6), "
@@ -36,9 +37,8 @@ struct WideFixture {
 
 TEST(PlannerOptionsTest, M3FallsBackOnWidePlans) {
   WideFixture f;
-  ViewPlanner::Options options;
-  options.max_m3_subgoals = 4;  // Force the fallback (plan has 7 subgoals).
-  ViewPlanner planner(f.views, MaterializeViews(f.views, f.base), options);
+  static_assert(kMaxM3Subgoals < 7, "the plan must be too wide for M3");
+  ViewPlanner planner(f.views, MaterializeViews(f.views, f.base));
   auto result = planner.Plan(f.query, CostModel::kM3);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.choice->logical.num_subgoals(), 7u);
@@ -50,44 +50,6 @@ TEST(PlannerOptionsTest, M3FallsBackOnWidePlans) {
     any_drop |= !step.empty();
   }
   EXPECT_TRUE(any_drop);
-}
-
-TEST(PlannerOptionsTest, FiltersCanBeDisabled) {
-  const auto query =
-      MustParseQuery("q1(S,C) :- car(M,a), loc(a,C), part(S,M,C)");
-  const ViewSet views = MustParseProgram(R"(
-    v1(M,D,C) :- car(M,D), loc(D,C)
-    v2(S,M,C) :- part(S,M,C)
-    v3(S) :- car(M,a), loc(a,C), part(S,M,C)
-  )");
-  Database base;
-  const Value a = EncodeConstant(Const("a"));
-  for (Value m = 0; m < 10; ++m) base.AddRow("car", {m, a});
-  for (Value c = 0; c < 10; ++c) base.AddRow("loc", {a, 100 + c});
-  for (Value i = 0; i < 500; ++i) {
-    base.AddRow("part", {2000 + i, 700 + i % 50, 800 + i % 30});
-  }
-  for (Value i = 0; i < 3; ++i) base.AddRow("part", {3000 + i, i, 100 + i});
-  const Database view_db = MaterializeViews(views, base);
-
-  ViewPlanner::Options no_filters;
-  no_filters.use_filters = false;
-  ViewPlanner with(views, view_db);
-  ViewPlanner without(views, view_db, no_filters);
-  auto plan_with = with.Plan(query, CostModel::kM2);
-  auto plan_without = without.Plan(query, CostModel::kM2);
-  ASSERT_TRUE(plan_with.ok());
-  ASSERT_TRUE(plan_without.ok());
-  // v3 is selective here, so the filtered plan is at least as cheap, and
-  // the unfiltered logical plan must not mention v3.
-  EXPECT_LE(plan_with.choice->cost, plan_without.choice->cost);
-  for (const Atom& atom : plan_without.choice->logical.body()) {
-    EXPECT_NE(atom.predicate_name(), "v3");
-  }
-  // Both answer correctly.
-  const Relation expected = EvaluateQuery(query, base);
-  EXPECT_TRUE(with.Execute(*plan_with.choice).EqualsAsSet(expected));
-  EXPECT_TRUE(without.Execute(*plan_without.choice).EqualsAsSet(expected));
 }
 
 TEST(PlannerOptionsTest, MaxRewritingsLimitsSearch) {
