@@ -7,6 +7,8 @@
 #   - service accounting balances (submitted == admitted + rejected, and
 #     completed + shed never exceeds admitted), scraped from the
 #     HTTP /statz endpoint via --check-statz.
+# It then POSTs a comparison query and an unsafe query to /plan (both must
+# be answered 400) and checks /healthz still answers 200.
 #
 # Usage: scripts/check_net_smoke.sh
 # The build tree is build/ (shared with the regular build).
@@ -67,5 +69,25 @@ HTTP_PORT=$(sed -n 's/^http_port=//p' "$PORTS_FILE")
   --queries examples/data/car_loc_part.replay \
   --connections 4 --qps 200 --requests 400 --certificate --handles \
   --check-statz "$HTTP_PORT"
+
+# Queries the planner does not take (a comparison subgoal, an unsafe head)
+# are answered 400 on POST /plan, and the server keeps serving /healthz.
+# A process abort shows up as curl's code 000.
+http_code() {
+  curl -s -o /dev/null -w '%{http_code}' "$@" || true
+}
+for QUERY in 'q(X) :- p(X,Y), X < 3' 'q(X,Z) :- p(X,Y)'; do
+  CODE=$(http_code -X POST --data "{\"query\":\"$QUERY\"}" \
+    "http://127.0.0.1:$HTTP_PORT/plan")
+  [ "$CODE" = 400 ] || {
+    echo "check_net_smoke: POST /plan '$QUERY' answered $CODE, want 400" >&2
+    exit 1
+  }
+done
+CODE=$(http_code "http://127.0.0.1:$HTTP_PORT/healthz")
+[ "$CODE" = 200 ] || {
+  echo "check_net_smoke: /healthz answered $CODE after rejected queries" >&2
+  exit 1
+}
 
 echo "check_net_smoke: wire accounting clean (no lost/duplicated responses)"

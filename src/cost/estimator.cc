@@ -1,8 +1,6 @@
 #include "cost/estimator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -75,60 +73,6 @@ double EstimateJoinSize(const std::vector<Atom>& atoms,
     }
   }
   return std::max(size, 1.0);
-}
-
-M2OptimizationResult OptimizeOrderM2Estimated(
-    const ConjunctiveQuery& rewriting, const StatsCatalog& catalog) {
-  const size_t n = rewriting.num_subgoals();
-  VBR_CHECK_MSG(n >= 1, "cannot optimize an empty rewriting");
-  VBR_CHECK_MSG(n <= 20, "subset DP is limited to 20 subgoals");
-
-  const uint32_t full = (uint32_t{1} << n) - 1;
-  // Estimated |IR(S)| per subset.
-  std::vector<double> ir(full + 1, 0.0);
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    std::vector<Atom> atoms;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (uint32_t{1} << i)) atoms.push_back(rewriting.subgoal(i));
-    }
-    ir[mask] = EstimateJoinSize(atoms, catalog);
-  }
-  std::vector<double> rel_size(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const RelationStats* stats =
-        catalog.Find(rewriting.subgoal(i).predicate());
-    rel_size[i] = stats == nullptr ? 0.0 : static_cast<double>(stats->rows);
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> best(full + 1, kInf);
-  std::vector<int> last(full + 1, -1);
-  best[0] = 0.0;
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    for (size_t g = 0; g < n; ++g) {
-      const uint32_t bit = uint32_t{1} << g;
-      if (!(mask & bit)) continue;
-      const double total = best[mask ^ bit] + rel_size[g] + ir[mask];
-      if (total < best[mask]) {
-        best[mask] = total;
-        last[mask] = static_cast<int>(g);
-      }
-    }
-  }
-
-  M2OptimizationResult result;
-  result.cost = static_cast<size_t>(std::llround(best[full]));
-  result.subsets_costed = full;
-  result.plan.rewriting = rewriting;
-  std::vector<size_t> reversed;
-  for (uint32_t mask = full; mask != 0;) {
-    const int g = last[mask];
-    VBR_CHECK(g >= 0);
-    reversed.push_back(static_cast<size_t>(g));
-    mask ^= uint32_t{1} << g;
-  }
-  result.plan.order.assign(reversed.rbegin(), reversed.rend());
-  return result;
 }
 
 }  // namespace vbr

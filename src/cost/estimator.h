@@ -48,9 +48,10 @@ class StatsCatalog {
 double EstimateJoinSize(const std::vector<Atom>& atoms,
                         const StatsCatalog& catalog);
 
-// M2 subset-DP over ESTIMATED intermediate sizes. The returned cost is the
-// estimated cost; evaluate CostOfOrderM2 on the returned order to get its
-// true cost.
+// The M2 subset DP of OptimizeOrderM2 (m2_optimizer.cc) over ESTIMATED
+// intermediate sizes, under the same kMaxM2Subgoals limit. The returned
+// cost is the estimated cost, rounded; evaluate CostOfOrderM2 on the
+// returned order to get its true cost.
 M2OptimizationResult OptimizeOrderM2Estimated(
     const ConjunctiveQuery& rewriting, const StatsCatalog& catalog);
 

@@ -1,48 +1,102 @@
 #include "cost/m2_optimizer.h"
 
+#include <cmath>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/budget.h"
 #include "common/check.h"
+#include "cost/estimator.h"
 #include "engine/evaluator.h"
 
 namespace vbr {
 
 namespace {
 
-// Measures |IR(S)| for a subset mask of subgoals, caching results.
-class IrSizeCache {
- public:
-  IrSizeCache(const ConjunctiveQuery& rewriting, const Database& view_db)
-      : rewriting_(rewriting), view_db_(view_db) {}
+// The subgoals of `rewriting` whose bits are set in `mask`, in index order.
+std::vector<Atom> SubgoalsIn(const ConjunctiveQuery& rewriting,
+                             uint32_t mask) {
+  std::vector<Atom> atoms;
+  for (size_t i = 0; i < rewriting.num_subgoals(); ++i) {
+    if (mask & (uint32_t{1} << i)) atoms.push_back(rewriting.subgoal(i));
+  }
+  return atoms;
+}
 
-  size_t Get(uint32_t mask) {
-    auto it = cache_.find(mask);
-    if (it != cache_.end()) return it->second;
-    std::vector<Atom> atoms;
-    for (size_t i = 0; i < rewriting_.num_subgoals(); ++i) {
-      if (mask & (uint32_t{1} << i)) atoms.push_back(rewriting_.subgoal(i));
+// |g| for each subgoal g of `rewriting` (0 for a missing relation).
+std::vector<size_t> RelationSizes(const ConjunctiveQuery& rewriting,
+                                  const Database& view_db) {
+  std::vector<size_t> sizes;
+  for (const Atom& g : rewriting.body()) {
+    const Relation* rel = view_db.Find(g.predicate());
+    sizes.push_back(rel == nullptr ? 0 : rel->size());
+  }
+  return sizes;
+}
+
+size_t RoundCost(size_t cost) { return cost; }
+size_t RoundCost(double cost) {
+  return static_cast<size_t>(std::llround(cost));
+}
+
+// The M2 subset DP. `relation_size[g]` is |g| and `ir_size(atoms)` is
+// |IR| of a set of subgoals; Cost is size_t for measured sizes and double
+// for estimated ones. Masks are visited in increasing order, each charged
+// one governor work unit and measured once; on a cost tie the
+// lowest-numbered last subgoal wins.
+template <typename Cost, typename IrSize>
+M2OptimizationResult SubsetDp(const ConjunctiveQuery& rewriting,
+                              const std::vector<Cost>& relation_size,
+                              IrSize ir_size) {
+  const size_t n = rewriting.num_subgoals();
+  VBR_CHECK_MSG(n >= 1, "cannot optimize an empty rewriting");
+  VBR_CHECK_MSG(n <= kMaxM2Subgoals, "subset DP is limited to 20 subgoals");
+  const uint32_t full = (uint32_t{1} << n) - 1;
+  std::vector<Cost> best(full + 1, Cost{0});
+  std::vector<int> last(full + 1, -1);
+  ResourceGovernor* const governor = ResourceGovernor::Current();
+
+  M2OptimizationResult result;
+  result.plan.rewriting = rewriting;
+  for (uint32_t mask = 1; mask <= full; ++mask) {
+    // The DP runs serially on the caller thread, so the checkpoint latches
+    // a work budget deterministically.
+    if (governor != nullptr) {
+      governor->ChargeWork(1);
+      if (!governor->CheckPoint("cost.m2")) {
+        result.aborted = true;
+        break;
+      }
     }
-    const size_t size = JoinSize(atoms, view_db_);
-    cache_.emplace(mask, size);
-    return size;
+    const Cost ir = ir_size(SubgoalsIn(rewriting, mask));
+    ++result.subsets_costed;
+    for (size_t g = 0; g < n; ++g) {
+      const uint32_t bit = uint32_t{1} << g;
+      if (!(mask & bit)) continue;
+      const Cost total = best[mask ^ bit] + relation_size[g] + ir;
+      if (last[mask] < 0 || total < best[mask]) {
+        best[mask] = total;
+        last[mask] = static_cast<int>(g);
+      }
+    }
   }
 
-  size_t entries() const { return cache_.size(); }
-
- private:
-  const ConjunctiveQuery& rewriting_;
-  const Database& view_db_;
-  std::unordered_map<uint32_t, size_t> cache_;
-};
-
-size_t RelationSize(const ConjunctiveQuery& rewriting, size_t subgoal,
-                    const Database& view_db) {
-  const Relation* rel =
-      view_db.Find(rewriting.subgoal(subgoal).predicate());
-  return rel == nullptr ? 0 : rel->size();
+  if (result.aborted) {
+    result.cost = std::numeric_limits<size_t>::max();
+    result.plan.order.resize(n);
+    std::iota(result.plan.order.begin(), result.plan.order.end(), 0);
+    return result;
+  }
+  result.cost = RoundCost(best[full]);
+  std::vector<size_t> reversed;
+  for (uint32_t mask = full; mask != 0;) {
+    const int g = last[mask];
+    VBR_CHECK(g >= 0);
+    reversed.push_back(static_cast<size_t>(g));
+    mask ^= uint32_t{1} << g;
+  }
+  result.plan.order.assign(reversed.rbegin(), reversed.rend());
+  return result;
 }
 
 }  // namespace
@@ -51,80 +105,41 @@ M2OptimizationResult OptimizeOrderM2(const ConjunctiveQuery& rewriting,
                                      const Database& view_db,
                                      const TraceContext& trace) {
   TraceSpan span(trace, "optimize_m2");
-  const size_t n = rewriting.num_subgoals();
-  VBR_CHECK_MSG(n >= 1, "cannot optimize an empty rewriting");
-  VBR_CHECK_MSG(n <= kMaxM2Subgoals, "subset DP is limited to 20 subgoals");
-  IrSizeCache ir(rewriting, view_db);
-
-  const uint32_t full = (n == 32) ? ~uint32_t{0} : (uint32_t{1} << n) - 1;
-  constexpr size_t kInf = std::numeric_limits<size_t>::max();
-  std::vector<size_t> best(full + 1, kInf);
-  std::vector<int> last(full + 1, -1);
-  best[0] = 0;
-  ResourceGovernor* const governor = ResourceGovernor::Current();
-  bool aborted = false;
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    // One work unit per subset costed; the DP runs serially on the caller
-    // thread, so the checkpoint latches a work budget deterministically.
-    if (governor != nullptr) {
-      governor->ChargeWork(1);
-      if (!governor->CheckPoint("cost.m2")) {
-        aborted = true;
-        break;
-      }
-    }
-    for (size_t g = 0; g < n; ++g) {
-      const uint32_t bit = uint32_t{1} << g;
-      if (!(mask & bit)) continue;
-      const size_t prev = best[mask ^ bit];
-      if (prev == kInf) continue;
-      const size_t step_cost =
-          RelationSize(rewriting, g, view_db) + ir.Get(mask);
-      const size_t total = prev + step_cost;
-      if (total < best[mask]) {
-        best[mask] = total;
-        last[mask] = static_cast<int>(g);
-      }
-    }
-  }
-
-  M2OptimizationResult result;
-  result.subsets_costed = ir.entries();
-  result.plan.rewriting = rewriting;
-  if (aborted) {
-    result.aborted = true;
-    result.cost = kInf;
-    result.plan.order.resize(n);
-    std::iota(result.plan.order.begin(), result.plan.order.end(), 0);
-    span.AddAttribute("aborted", true);
-  } else {
-    result.cost = best[full];
-    std::vector<size_t> reversed;
-    for (uint32_t mask = full; mask != 0;) {
-      const int g = last[mask];
-      VBR_CHECK(g >= 0);
-      reversed.push_back(static_cast<size_t>(g));
-      mask ^= uint32_t{1} << g;
-    }
-    result.plan.order.assign(reversed.rbegin(), reversed.rend());
-  }
-  span.AddAttribute("subgoals", static_cast<uint64_t>(n));
+  M2OptimizationResult result = SubsetDp(
+      rewriting, RelationSizes(rewriting, view_db),
+      [&](const std::vector<Atom>& atoms) { return JoinSize(atoms, view_db); });
+  if (result.aborted) span.AddAttribute("aborted", true);
+  span.AddAttribute("subgoals",
+                    static_cast<uint64_t>(rewriting.num_subgoals()));
   span.AddAttribute("cost", static_cast<uint64_t>(result.cost));
   span.AddAttribute("subsets_costed",
                     static_cast<uint64_t>(result.subsets_costed));
   return result;
 }
 
+M2OptimizationResult OptimizeOrderM2Estimated(
+    const ConjunctiveQuery& rewriting, const StatsCatalog& catalog) {
+  std::vector<double> relation_size;
+  for (const Atom& g : rewriting.body()) {
+    const RelationStats* stats = catalog.Find(g.predicate());
+    relation_size.push_back(stats == nullptr ? 0.0 : stats->rows);
+  }
+  return SubsetDp(rewriting, relation_size,
+                  [&](const std::vector<Atom>& atoms) {
+                    return EstimateJoinSize(atoms, catalog);
+                  });
+}
+
 size_t CostOfOrderM2(const ConjunctiveQuery& rewriting,
                      const std::vector<size_t>& order,
                      const Database& view_db) {
   VBR_CHECK(order.size() == rewriting.num_subgoals());
-  IrSizeCache ir(rewriting, view_db);
+  const std::vector<size_t> relation_size = RelationSizes(rewriting, view_db);
   size_t total = 0;
   uint32_t mask = 0;
   for (size_t g : order) {
     mask |= uint32_t{1} << g;
-    total += RelationSize(rewriting, g, view_db) + ir.Get(mask);
+    total += relation_size[g] + JoinSize(SubgoalsIn(rewriting, mask), view_db);
   }
   return total;
 }

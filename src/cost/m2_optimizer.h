@@ -17,7 +17,9 @@ namespace vbr {
 // System-R idea specialized to M2's cost).
 //
 // Sizes are measured exactly by evaluating joins against the materialized
-// view relations: this plays the role of the optimizer's statistics.
+// view relations: this plays the role of the optimizer's statistics. The
+// same DP also runs over estimated sizes (OptimizeOrderM2Estimated in
+// cost/estimator.h).
 
 struct M2OptimizationResult {
   PhysicalPlan plan;       // Best order, no drop annotations.

@@ -7,7 +7,7 @@
 
 #include "common/budget.h"
 #include "common/check.h"
-#include "cq/substitution.h"
+#include "cost/supplementary.h"
 #include "cq/term.h"
 #include "rewrite/rewriting.h"
 
@@ -35,13 +35,6 @@ class DropSearch {
   }
 
  private:
-  bool UsedAfter(const ConjunctiveQuery& p, size_t step, Term var) const {
-    for (size_t j = step + 1; j < order_.size(); ++j) {
-      if (p.subgoal(order_[j]).Mentions(var)) return true;
-    }
-    return false;
-  }
-
   // Decide the fate of each state variable at `step`, then recurse to the
   // next step; at the end evaluate the plan.
   void Recurse(const ConjunctiveQuery& p, size_t step,
@@ -84,12 +77,11 @@ class DropSearch {
     std::vector<Term> optional_drops;
     std::vector<Term> sr_dropped;
     for (Term v : candidates) {
-      if (p.head().Mentions(v)) continue;
-      if (!UsedAfter(p, step, v)) {
+      if (SrDroppable(p, order_, step, v)) {
         drops_[step].push_back(v);
         sr_dropped.push_back(v);
         in_state_.erase(v);
-      } else {
+      } else if (!p.head().Mentions(v)) {
         optional_drops.push_back(v);
       }
     }
@@ -114,14 +106,8 @@ class DropSearch {
     ChooseOptional(p, step, optional, index + 1, plans_evaluated, best);
     if (in_state_.count(v) == 0) return;  // Dropped by an outer frame.
     // Drop branch, if renaming v in the processed prefix stays equivalent.
-    Substitution rename;
     const Term fresh = FreshVar(v.ToString());
-    rename.Bind(v, fresh);
-    std::vector<Atom> body = p.body();
-    for (size_t j = 0; j <= step; ++j) {
-      body[order_[j]] = rename.Apply(body[order_[j]]);
-    }
-    const ConjunctiveQuery renamed = p.WithBody(std::move(body));
+    const ConjunctiveQuery renamed = RenameInPrefix(p, order_, step, v, fresh);
     if (!IsEquivalentRewriting(renamed, query_, views_)) return;
     drops_[step].push_back(fresh);
     in_state_.erase(v);

@@ -21,15 +21,17 @@ void InsertVars(const Atom& atom, std::unordered_set<Term, TermHash>* out) {
   }
 }
 
-bool UsedAfter(const ConjunctiveQuery& p, const std::vector<size_t>& order,
-               size_t step, Term var) {
+}  // namespace
+
+bool SrDroppable(const ConjunctiveQuery& p, const std::vector<size_t>& order,
+                 size_t step, Term var) {
+  if (p.head().Mentions(var)) return false;
   for (size_t j = step + 1; j < order.size(); ++j) {
-    if (p.subgoal(order[j]).Mentions(var)) return true;
+    if (p.subgoal(order[j]).Mentions(var)) return false;
   }
-  return false;
+  return true;
 }
 
-// Renames `var` to `replacement` inside the subgoals order[0..step] of `p`.
 ConjunctiveQuery RenameInPrefix(const ConjunctiveQuery& p,
                                 const std::vector<size_t>& order, size_t step,
                                 Term var, Term replacement) {
@@ -42,8 +44,6 @@ ConjunctiveQuery RenameInPrefix(const ConjunctiveQuery& p,
   return p.WithBody(std::move(body));
 }
 
-}  // namespace
-
 std::vector<std::vector<Term>> SupplementaryDrops(
     const ConjunctiveQuery& rewriting, const std::vector<size_t>& order) {
   VBR_CHECK(order.size() == rewriting.num_subgoals());
@@ -53,8 +53,7 @@ std::vector<std::vector<Term>> SupplementaryDrops(
     InsertVars(rewriting.subgoal(order[k]), &in_state);
     std::vector<Term> dropped;
     for (Term v : in_state) {
-      if (rewriting.head().Mentions(v)) continue;
-      if (!UsedAfter(rewriting, order, k, v)) dropped.push_back(v);
+      if (SrDroppable(rewriting, order, k, v)) dropped.push_back(v);
     }
     std::sort(dropped.begin(), dropped.end());
     for (Term v : dropped) in_state.erase(v);
@@ -80,13 +79,13 @@ GeneralizedDropsResult GeneralizedDrops(const ConjunctiveQuery& rewriting,
     std::vector<Term> candidates(in_state.begin(), in_state.end());
     std::sort(candidates.begin(), candidates.end());
     for (Term v : candidates) {
-      if (result.renamed_rewriting.head().Mentions(v)) continue;
-      if (!UsedAfter(result.renamed_rewriting, order, k, v)) {
+      if (SrDroppable(result.renamed_rewriting, order, k, v)) {
         // The classical supplementary-relation drop.
         result.drop_after[k].push_back(v);
         in_state.erase(v);
         continue;
       }
+      if (result.renamed_rewriting.head().Mentions(v)) continue;
       // The paper's heuristic: rename v in the processed prefix; if the
       // renamed query is still an equivalent rewriting, the equality with
       // the later occurrence was unnecessary and v can leave the state.

@@ -18,6 +18,18 @@ namespace vbr {
 // a fresh variable leaves the rewriting equivalent to the query — i.e., the
 // equality with the later occurrence was never needed (Example 6.1).
 
+// The SR rule: `var` may leave the state after step `step` of `order` iff
+// the head of `p` does not mention it and no later subgoal does.
+bool SrDroppable(const ConjunctiveQuery& p, const std::vector<size_t>& order,
+                 size_t step, Term var);
+
+// `p` with `var` renamed to `replacement` inside the subgoals
+// order[0..step] only: the GSR test of whether a later occurrence's
+// equality is needed.
+ConjunctiveQuery RenameInPrefix(const ConjunctiveQuery& p,
+                                const std::vector<size_t>& order, size_t step,
+                                Term var, Term replacement);
+
 // SR drop annotations for `order` over `rewriting`: drop_after[k] holds the
 // variables whose last use (outside the head) is subgoal order[k].
 std::vector<std::vector<Term>> SupplementaryDrops(

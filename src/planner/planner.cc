@@ -1,7 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -23,10 +23,6 @@
 namespace vbr {
 
 namespace {
-
-// Canonical model names now live in cost/cost_model.h; this alias keeps the
-// call sites below unchanged.
-constexpr auto ModelName = CostModelName;
 
 // Inverse of a variable-to-variable renaming.
 Substitution InvertRenaming(const Substitution& renaming) {
@@ -107,7 +103,7 @@ std::string ExhaustionMessage(const BudgetExhaustion& exhaustion,
 // Error for a request none of whose candidate rewritings can be costed.
 std::string TooWideToCostError(CostModel model) {
   return std::string("no candidate rewriting can be costed under ") +
-         ModelName(model) + ": each has more than " +
+         CostModelName(model) + ": each has more than " +
          std::to_string(kMaxM2Subgoals) +
          " subgoals, the limit of the M2 join-order search";
 }
@@ -131,7 +127,7 @@ const char* PlanStatusName(PlanStatus status) {
 std::string ViewPlanner::PlanChoice::ToString() const {
   std::string s = "logical : " + logical.ToString() + "\n";
   s += "physical: " + physical.ToString() + "\n";
-  s += "cost    : " + std::to_string(cost) + " (" + ModelName(model) + ")";
+  s += "cost    : " + std::to_string(cost) + " (" + CostModelName(model) + ")";
   return s;
 }
 
@@ -192,7 +188,7 @@ std::string PlanToJson(const std::optional<ViewPlanner::PlanChoice>& choice) {
   s += "\"logical\":" + Quoted(choice->logical.ToString());
   s += ",\"physical\":" + Quoted(choice->physical.ToString());
   s += ",\"cost\":" + std::to_string(choice->cost);
-  s += ",\"model\":" + Quoted(ModelName(choice->model));
+  s += ",\"model\":" + Quoted(CostModelName(choice->model));
   s += "}";
   return s;
 }
@@ -204,7 +200,7 @@ std::string ViewPlanner::PlanExplanation::ToText() const {
   s += "query    : " + query.ToString() + "\n";
   s += "status   : " + std::string(PlanStatusName(status)) + "\n";
   if (!error.empty()) s += "error    : " + error + "\n";
-  s += "model    : " + std::string(ModelName(model)) + "\n";
+  s += "model    : " + std::string(CostModelName(model)) + "\n";
   s += "cache    : " + cache_disposition +
        (cache_hit ? " (served from cache)" : "") + "\n";
   if (exhaustion.kind != BudgetKind::kNone) {
@@ -231,12 +227,12 @@ std::string ViewPlanner::PlanExplanation::ToText() const {
     s += "  logical : " + choice->logical.ToString() + "\n";
     s += "  physical: " + choice->physical.ToString() + "\n";
     s += "  cost    : " + std::to_string(choice->cost) + " (" +
-         ModelName(choice->model) + ")\n";
+         CostModelName(choice->model) + ")\n";
   }
   if (!breakdown.empty()) {
     s += "breakdown:\n";
     for (const ModelBreakdown& b : breakdown) {
-      s += "  " + std::string(ModelName(b.model)) + ": cost " +
+      s += "  " + std::string(CostModelName(b.model)) + ": cost " +
            std::to_string(b.cost) + ", order " + SizesToString(b.order, " ");
       if (!b.relation_sizes.empty()) {
         s += ", relation sizes " + SizesToString(b.relation_sizes, " ");
@@ -254,7 +250,7 @@ std::string ViewPlanner::PlanExplanation::ToJson() const {
   std::string s = "{";
   s += "\"status\":" + Quoted(PlanStatusName(status));
   s += ",\"error\":" + Quoted(error);
-  s += ",\"model\":" + Quoted(ModelName(model));
+  s += ",\"model\":" + Quoted(CostModelName(model));
   s += ",\"cache\":" + Quoted(cache_disposition);
   s += ",\"cache_hit\":" + std::string(cache_hit ? "true" : "false");
   s += ",\"budget\":" + BudgetToJson(exhaustion, degraded);
@@ -276,7 +272,7 @@ std::string ViewPlanner::PlanExplanation::ToJson() const {
   for (size_t i = 0; i < breakdown.size(); ++i) {
     const ModelBreakdown& b = breakdown[i];
     if (i > 0) s += ",";
-    s += "{\"model\":" + Quoted(ModelName(b.model));
+    s += "{\"model\":" + Quoted(CostModelName(b.model));
     s += ",\"cost\":" + std::to_string(b.cost);
     s += ",\"order\":" + SizesToString(b.order, ",");
     s += ",\"relation_sizes\":" + SizesToString(b.relation_sizes, ",");
@@ -336,53 +332,48 @@ std::shared_ptr<const ViewPlanner::ViewSnapshot> ViewPlanner::snapshot()
   return CurrentSnapshot();
 }
 
-std::optional<ViewPlanner::CostedPlan> ViewPlanner::CostRewriting(
+std::optional<ViewPlanner::PlanChoice> ViewPlanner::CostRewriting(
     CostModel model, const ConjunctiveQuery& logical,
     const ConjunctiveQuery& query, const ViewSnapshot& vs,
     const TraceContext& trace) const {
-  CostedPlan out;
+  PlanChoice out;
+  out.logical = logical;
+  out.model = model;
   if (model == CostModel::kM1) {
     out.cost = CostM1(logical);
-    out.plan.rewriting = logical;
+    out.physical.rewriting = logical;
     for (size_t i = 0; i < logical.num_subgoals(); ++i) {
-      out.plan.order.push_back(i);
+      out.physical.order.push_back(i);
     }
     return out;
   }
   if (model == CostModel::kM3 &&
       logical.num_subgoals() <= kMaxM3Subgoals) {
     auto m3 = OptimizeM3(logical, query, vs.views, vs.instances, trace);
-    out.plan = std::move(m3.plan);
+    out.physical = std::move(m3.plan);
     out.cost = m3.cost;
     return out;
   }
   if (logical.num_subgoals() > kMaxM2Subgoals) return std::nullopt;
   auto m2 = OptimizeOrderM2(logical, vs.instances, trace);
-  out.plan = std::move(m2.plan);
+  out.physical = std::move(m2.plan);
   out.cost = m2.cost;
   if (model == CostModel::kM3) {
     // Too wide for the exhaustive M3 search: M2 order + SR drops.
-    out.plan.drop_after = SupplementaryDrops(logical, out.plan.order);
-    out.cost = ExecutePlan(out.plan, vs.instances).TotalCost();
+    out.physical.drop_after = SupplementaryDrops(logical, out.physical.order);
+    out.cost = ExecutePlan(out.physical, vs.instances).TotalCost();
   }
   return out;
 }
 
-bool ViewPlanner::CostAndPick(
+std::vector<ViewPlanner::CostedCandidate> ViewPlanner::CostAndPick(
     const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
     const std::vector<ConjunctiveQuery>& rewritings,
-    const std::vector<Atom>& filter_atoms, PlanChoice* best,
-    size_t* winner_index, bool* winner_filtered, const TraceContext& trace,
-    std::vector<PlanExplanation::Candidate>* capture) const {
+    const std::vector<Atom>& filter_atoms, const TraceContext& trace) const {
   TraceSpan span(trace, "cost_and_pick");
   span.AddAttribute("candidates", static_cast<uint64_t>(rewritings.size()));
   const bool use_filters = model != CostModel::kM1 && !filter_atoms.empty();
-  best->model = model;
-  best->cost = std::numeric_limits<size_t>::max();
-  *winner_index = 0;
-  *winner_filtered = false;
-  bool found = false;
-  size_t winner_slot = 0;  // the winner's position in *capture
+  std::vector<CostedCandidate> costed;
   for (size_t r = 0; r < rewritings.size(); ++r) {
     ConjunctiveQuery logical = rewritings[r];
     bool filtered = false;
@@ -391,43 +382,36 @@ bool ViewPlanner::CostAndPick(
       filtered = !advice.filters_added.empty();
       logical = std::move(advice.improved);
     }
-    std::optional<CostedPlan> costed =
+    std::optional<PlanChoice> choice =
         CostRewriting(model, logical, query, vs, span.context());
-    if (!costed.has_value()) continue;
-    if (capture != nullptr) {
-      PlanExplanation::Candidate candidate;
-      candidate.logical = logical;
-      candidate.cost = costed->cost;
-      candidate.filtered = filtered;
-      capture->push_back(std::move(candidate));
-    }
-    if (!found || costed->cost < best->cost) {
-      found = true;
-      best->cost = costed->cost;
-      best->logical = std::move(logical);
-      best->physical = std::move(costed->plan);
-      *winner_index = r;
-      *winner_filtered = filtered;
-      if (capture != nullptr) winner_slot = capture->size() - 1;
-    }
+    if (!choice.has_value()) continue;
+    costed.push_back({std::move(*choice), filtered, r});
   }
-  if (capture != nullptr && found) {
-    for (size_t c = 0; c < capture->size(); ++c) {
-      PlanExplanation::Candidate& candidate = (*capture)[c];
-      if (c == winner_slot) {
-        candidate.chosen = true;
-        candidate.reason = "chosen";
-      } else {
-        candidate.reason = "cost " + std::to_string(candidate.cost) +
-                           " >= winner " + std::to_string(best->cost);
-      }
+  return costed;
+}
+
+void ViewPlanner::ListCandidates(const std::vector<CostedCandidate>& costed,
+                                 size_t chosen,
+                                 const std::vector<bool>& dropped,
+                                 PlanExplanation* explain) {
+  if (explain == nullptr) return;
+  for (size_t c = 0; c < costed.size(); ++c) {
+    PlanExplanation::Candidate candidate;
+    candidate.logical = costed[c].choice.logical;
+    candidate.cost = costed[c].choice.cost;
+    candidate.filtered = costed[c].filtered;
+    if (c == chosen) {
+      candidate.chosen = true;
+      candidate.reason = "chosen";
+    } else if (!dropped.empty() && dropped[c]) {
+      candidate.reason = "failed certification";
+    } else {
+      candidate.reason = "cost " + std::to_string(candidate.cost) +
+                         " >= winner " +
+                         std::to_string(costed[chosen].choice.cost);
     }
+    explain->candidates.push_back(std::move(candidate));
   }
-  if (found) {
-    span.AddAttribute("winner", static_cast<uint64_t>(*winner_index));
-    span.AddAttribute("winner_cost", static_cast<uint64_t>(best->cost));
-  }
-  return found;
 }
 
 namespace {
@@ -475,25 +459,30 @@ ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
   span.AddAttribute("aborted", mc.aborted);
   if (mc.equivalent_rewritings.empty()) return out;
 
-  PlanChoice best;
-  size_t winner = 0;
-  bool winner_filtered = false;
-  if (!CostAndPick(vs, query, model, mc.equivalent_rewritings, {}, &best,
-                   &winner, &winner_filtered, span.context(),
-                   explain != nullptr ? &explain->candidates : nullptr)) {
+  std::vector<CostedCandidate> costed = CostAndPick(
+      vs, query, model, mc.equivalent_rewritings, {}, span.context());
+  if (costed.empty()) {
     out.status = PlanStatus::kUnsupportedQueryTooLarge;
     out.error = TooWideToCostError(model);
     return out;
   }
+  const size_t cheapest = static_cast<size_t>(
+      std::min_element(costed.begin(), costed.end(),
+                       [](const CostedCandidate& a, const CostedCandidate& b) {
+                         return a.choice.cost < b.choice.cost;
+                       }) -
+      costed.begin());
+  ListCandidates(costed, cheapest, {}, explain);
   // MiniCon's equivalence filter already verified the winner, but PlanChoice
   // promises a transportable certificate; build one under the same grace
   // budget (if even that dies, report exhaustion rather than an
   // uncertified plan).
+  PlanChoice& choice = costed[cheapest].choice;
   auto certificate =
-      CertifyEquivalentRewriting(best.logical, mc.minimized_query, vs.views);
+      CertifyEquivalentRewriting(choice.logical, mc.minimized_query, vs.views);
   if (!certificate.has_value()) return out;
-  best.certificate = std::move(*certificate);
-  out.choice = std::move(best);
+  choice.certificate = std::move(*certificate);
+  out.choice = std::move(choice);
   out.status = PlanStatus::kOk;
   out.error.clear();
   return out;
@@ -626,76 +615,98 @@ void ViewPlanner::FinishPlan(const ViewSnapshot& vs,
                              const Substitution& from_entry,
                              const TraceContext& trace,
                              PlanExplanation* explain, PlanResult* out) const {
-  PlanChoice best;
-  size_t winner = 0;
-  bool winner_filtered = false;
-  if (!CostAndPick(vs, query, model, rewritings, filter_atoms, &best, &winner,
-                   &winner_filtered, trace,
-                   explain != nullptr ? &explain->candidates : nullptr)) {
+  static Counter* const uncertified_dropped =
+      MetricsRegistry::Global().GetCounter("planner.uncertified_dropped");
+  std::vector<CostedCandidate> costed =
+      CostAndPick(vs, query, model, rewritings, filter_atoms, trace);
+  if (costed.empty()) {
     // Under an exhausted budget the optimizers abort and report SIZE_MAX
-    // costs, so the pick degrades toward emission order but stays total;
-    // only rewritings too wide to cost at all leave nothing to pick.
+    // costs, so the ranking degrades toward emission order but stays total;
+    // only rewritings too wide to cost at all leave nothing to rank.
     out->status = PlanStatus::kUnsupportedQueryTooLarge;
     out->error = TooWideToCostError(model);
     return;
   }
+  std::vector<size_t> ranked(costed.size());
+  std::iota(ranked.begin(), ranked.end(), 0);
+  std::stable_sort(ranked.begin(), ranked.end(), [&](size_t a, size_t b) {
+    return costed[a].choice.cost < costed[b].choice.cost;
+  });
 
-  // Certify the winner against the minimized core (the certificate covers
-  // the logical plan; the M3 physical plan may execute a renamed variant,
-  // proven answer-equal by the optimizer's renaming-safety test). A
-  // certificate the entry already holds for a bare (unfiltered) winner is
-  // reused once it re-verifies after transport — transport is a pure
-  // renaming, but the verifier is cheap and search-free, so trust nothing.
-  // A filtered winner differs from the cached rewriting and is certified
-  // afresh.
+  // Certify against the minimized core (the certificate covers the logical
+  // plan; the M3 physical plan may execute a renamed variant, proven
+  // answer-equal by the optimizer's renaming-safety test). A certificate the
+  // entry already holds for a bare (unfiltered) candidate is reused once it
+  // re-verifies after transport — transport is a pure renaming, but the
+  // verifier is cheap and search-free, so trust nothing. A filtered
+  // candidate differs from the cached rewriting and is certified afresh.
   TraceSpan certify_span(trace, "certify");
   const ResourceGovernor* const governor = ResourceGovernor::Current();
   std::optional<EquivalenceCertificate> certificate;
   bool reused = false;
-  if (entry != nullptr && !winner_filtered) {
-    if (auto cached = entry->certificate(winner)) {
-      EquivalenceCertificate cert = TransportCertificate(*cached, from_entry);
-      if (VerifyCertificate(cert, vs.views)) {
-        certificate = std::move(cert);
-        reused = true;
+  bool exhausted = false;
+  std::vector<bool> dropped(costed.size(), false);
+  size_t chosen = costed.size();  // none until one certifies or budget dies
+  for (const size_t slot : ranked) {
+    const CostedCandidate& c = costed[slot];
+    if (entry != nullptr && !c.filtered) {
+      if (auto cached = entry->certificate(c.rewriting)) {
+        EquivalenceCertificate cert = TransportCertificate(*cached, from_entry);
+        if (VerifyCertificate(cert, vs.views)) {
+          certificate = std::move(cert);
+          reused = true;
+        }
       }
     }
+    if (!certificate.has_value() &&
+        (governor == nullptr || !governor->exhausted())) {
+      certificate =
+          CertifyEquivalentRewriting(c.choice.logical, minimized, vs.views);
+    }
+    exhausted = governor != nullptr && governor->exhausted();
+    if (!certificate.has_value() && exhausted) {
+      // Best-so-far grace certification: the certification search was
+      // starved, not refuted. A fresh governor shields it from the exhausted
+      // request governor (otherwise the dead budget would starve its own
+      // recovery); the grace budget keeps it bounded.
+      ResourceGovernor grace(GraceLimits(options_.fallback_work_budget));
+      GovernorScope scope(&grace);
+      certificate =
+          CertifyEquivalentRewriting(c.choice.logical, minimized, vs.views);
+      certify_span.AddAttribute("grace", true);
+    }
+    if (certificate.has_value() || exhausted) {
+      chosen = slot;
+      break;
+    }
+    // Refuted with budget to spare: the rewriting search emitted a
+    // non-equivalent cover. Never serve it; try the next-cheapest.
+    dropped[slot] = true;
+    uncertified_dropped->Increment();
   }
-  if (!certificate.has_value() &&
-      (governor == nullptr || !governor->exhausted())) {
-    certificate = CertifyEquivalentRewriting(best.logical, minimized, vs.views);
-  }
-  const bool exhausted = governor != nullptr && governor->exhausted();
-  if (!certificate.has_value() && exhausted) {
-    // Best-so-far grace certification: the rewriting is genuine (every
-    // emitted cover is), only the certification search was starved. A fresh
-    // governor shields it from the exhausted request governor (otherwise
-    // the dead budget would starve its own recovery); the grace budget
-    // keeps it bounded.
-    ResourceGovernor grace(GraceLimits(options_.fallback_work_budget));
-    GovernorScope scope(&grace);
-    certificate = CertifyEquivalentRewriting(best.logical, minimized, vs.views);
-    certify_span.AddAttribute("grace", true);
-  }
-  // Only a starved certification search may fail here — a rewriting that
-  // genuinely fails to certify is a planner bug.
-  VBR_CHECK_MSG(certificate.has_value() || exhausted,
-                "planner produced an uncertifiable rewriting");
   certify_span.AddAttribute("reused_cached", reused);
   certify_span.End();
+  ListCandidates(costed, chosen, dropped, explain);
   if (!certificate.has_value()) {
-    out->status = PlanStatus::kBudgetExhausted;
-    out->exhaustion = governor->exhaustion();
-    out->error = ExhaustionMessage(
-        out->exhaustion, "before the chosen rewriting could be certified");
+    if (exhausted) {
+      out->status = PlanStatus::kBudgetExhausted;
+      out->exhaustion = governor->exhaustion();
+      out->error = ExhaustionMessage(
+          out->exhaustion, "before the chosen rewriting could be certified");
+    } else {
+      out->status = PlanStatus::kNoRewriting;
+      out->error = std::to_string(costed.size()) +
+                   " candidate rewriting(s) failed certification";
+    }
     return;
   }
-  if (entry != nullptr && !winner_filtered && !reused) {
-    entry->StoreCertificate(winner,
+  CostedCandidate& winner = costed[chosen];
+  if (entry != nullptr && !winner.filtered && !reused) {
+    entry->StoreCertificate(winner.rewriting,
                             TransportCertificate(*certificate, to_entry));
   }
-  best.certificate = std::move(*certificate);
-  out->choice = std::move(best);
+  winner.choice.certificate = std::move(*certificate);
+  out->choice = std::move(winner.choice);
   out->status = PlanStatus::kOk;
 }
 
@@ -773,7 +784,7 @@ ViewPlanner::PlanResult ViewPlanner::PlanInternal(
   plan_calls->Increment();
   const Timer timer;
   TraceSpan span(trace, "plan");
-  span.AddAttribute("model", ModelName(model));
+  span.AddAttribute("model", CostModelName(model));
 
   PlanResult result;
   std::string_view disposition;
@@ -843,14 +854,14 @@ ViewPlanner::PlanExplanation ViewPlanner::Explain(
   const ConjunctiveQuery& logical = result.choice->logical;
   for (const CostModel measured :
        {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
-    const std::optional<CostedPlan> costed =
+    const std::optional<PlanChoice> costed =
         CostRewriting(measured, logical, explain.minimized, vs, {});
     if (!costed.has_value()) continue;
     PlanExplanation::ModelBreakdown b;
     b.model = measured;
     b.cost = costed->cost;
-    b.order = costed->plan.order;
-    const PlanExecution exec = ExecutePlan(costed->plan, vs.instances);
+    b.order = costed->physical.order;
+    const PlanExecution exec = ExecutePlan(costed->physical, vs.instances);
     b.relation_sizes = exec.relation_sizes;
     // M1 counts subgoals; its intermediate sizes are not part of its cost.
     if (measured != CostModel::kM1) b.state_sizes = exec.state_sizes;

@@ -35,8 +35,9 @@ struct SnapshotLoadResult;  // planner/snapshot.h
 enum class PlanStatus {
   // A plan was chosen; PlanResult::choice is populated.
   kOk = 0,
-  // The query is answerable in principle but admits no equivalent
-  // rewriting over the current view set.
+  // No certified equivalent rewriting over the current view set: the
+  // rewriting search found none, or every candidate it emitted failed
+  // certification (PlanResult::error then says how many).
   kNoRewriting,
   // The (minimized) query exceeds the supported fragment (e.g. more than
   // 64 subgoals); PlanResult::error carries the detail.
@@ -131,7 +132,7 @@ class ViewPlanner {
     // CoreCover run.
     bool cache_hit = false;
     // Human-readable detail when status == kUnsupportedQueryTooLarge or
-    // kBudgetExhausted.
+    // kBudgetExhausted, or kNoRewriting after failed certifications.
     std::string error;
     // Which budget died and where (BudgetKind::kNone when none did).
     // Populated both for kBudgetExhausted and for degraded kOk results.
@@ -199,7 +200,7 @@ class ViewPlanner {
       // The filter advisor appended selective subgoals to this candidate.
       bool filtered = false;
       bool chosen = false;
-      // "chosen", or why it lost ("cost 18 > winner 7").
+      // "chosen", or why not: "cost 18 >= winner 7", "failed certification".
       std::string reason;
     };
     // The chosen logical plan measured under one cost model: its join
@@ -394,10 +395,13 @@ class ViewPlanner {
                            PlanExplanation* explain) const;
   // The one finish of fresh and cached plans, all in the query's own
   // variables: CostAndPick over `rewritings` and `filter_atoms`, then
-  // certify the winner against `minimized`. A certificate `entry` holds for
-  // the winner (renamed by `from_entry`) is reused when it verifies; a new
-  // one (grace-certified when the installed governor is exhausted) is
-  // stored into `entry` through `to_entry`. `entry` may be null.
+  // certify against `minimized` cheapest first (first emitted on ties). A
+  // candidate refuted with budget to spare is dropped (counted in
+  // planner.uncertified_dropped) and the next tried; none left is
+  // kNoRewriting. Under an exhausted budget the candidate in hand is
+  // grace-certified. A certificate `entry` holds for a candidate (renamed by
+  // `from_entry`) is reused when it verifies; a new one is stored into
+  // `entry` through `to_entry`. `entry` may be null.
   void FinishPlan(const ViewSnapshot& vs, const ConjunctiveQuery& query,
                   CostModel model,
                   const std::vector<ConjunctiveQuery>& rewritings,
@@ -406,35 +410,41 @@ class ViewPlanner {
                   const Substitution& to_entry, const Substitution& from_entry,
                   const TraceContext& trace, PlanExplanation* explain,
                   PlanResult* out) const;
-  // A physical plan for one logical rewriting and its cost.
-  struct CostedPlan {
-    PhysicalPlan plan;
-    size_t cost = 0;
-  };
   // The one costing function, shared by planning and Explain: costs
-  // `logical` under `model` against the snapshot's instances. M1 counts
-  // subgoals in written order; M2 runs the exact subset DP; M3 runs the
-  // exhaustive order/drop search (renaming-safety checked against `query`)
-  // up to kMaxM3Subgoals and the M2 order plus SR drops beyond. Returns
-  // nullopt when an M2/M3 rewriting is wider than kMaxM2Subgoals.
-  std::optional<CostedPlan> CostRewriting(CostModel model,
+  // `logical` under `model` against the snapshot's instances, as a
+  // PlanChoice without a certificate. M1 counts subgoals in written order;
+  // M2 runs the exact subset DP; M3 runs the exhaustive order/drop search
+  // (renaming-safety checked against `query`) up to kMaxM3Subgoals and the
+  // M2 order plus SR drops beyond. Returns nullopt when an M2/M3 rewriting
+  // is wider than kMaxM2Subgoals.
+  std::optional<PlanChoice> CostRewriting(CostModel model,
                                           const ConjunctiveQuery& logical,
                                           const ConjunctiveQuery& query,
                                           const ViewSnapshot& vs,
                                           const TraceContext& trace) const;
+  // One costed candidate: its PlanChoice (logical plan after any advisor
+  // filters, physical plan, cost; no certificate yet), whether the advisor
+  // added filters, and the index of its rewriting.
+  struct CostedCandidate {
+    PlanChoice choice;
+    bool filtered = false;
+    size_t rewriting = 0;
+  };
   // Shared costing loop: runs filter advice (M2/M3) and CostRewriting on
-  // each candidate and picks the cheapest. Returns false if no candidate
-  // could be costed (`rewritings` empty, or every one too wide). With an
-  // active `trace`, emits a "cost_and_pick" span (with optimizer child
-  // spans); with a non-null `capture`, appends one Candidate per costed
-  // rewriting.
-  bool CostAndPick(const ViewSnapshot& vs, const ConjunctiveQuery& query,
-                   CostModel model,
-                   const std::vector<ConjunctiveQuery>& rewritings,
-                   const std::vector<Atom>& filter_atoms, PlanChoice* best,
-                   size_t* winner_index, bool* winner_filtered,
-                   const TraceContext& trace,
-                   std::vector<PlanExplanation::Candidate>* capture) const;
+  // each rewriting and returns the costed ones in emission order (none if
+  // every one is too wide). Callers pick the cheapest, first on ties. With
+  // an active `trace`, emits a "cost_and_pick" span (with optimizer child
+  // spans).
+  std::vector<CostedCandidate> CostAndPick(
+      const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
+      const std::vector<ConjunctiveQuery>& rewritings,
+      const std::vector<Atom>& filter_atoms, const TraceContext& trace) const;
+  // Lists `costed` into a non-null `explain`: costed[chosen] is chosen (none
+  // when chosen == costed.size()), those flagged in `dropped` (may be empty)
+  // "failed certification", the rest lost to the chosen one's cost.
+  static void ListCandidates(const std::vector<CostedCandidate>& costed,
+                             size_t chosen, const std::vector<bool>& dropped,
+                             PlanExplanation* explain);
   // Last rung of the degradation ladder: the request budget died before
   // CoreCover found any rewriting. Retries with a MiniCon run under a grace
   // governor of fallback_work_budget work units (when

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/json.h"
@@ -91,6 +93,24 @@ int HttpCodeFor(const PlanningService::PlanResponse& response) {
 
 std::string JsonError(const std::string& message) {
   return "{\"error\":\"" + JsonEscape(message) + "\"}";
+}
+
+// The one parse of client query text (binary port, POST /plan, GET
+// /explain). It also rejects what the planner does not take: unsafe queries
+// and comparison subgoals. On failure `error` says why.
+std::optional<ConjunctiveQuery> ParseRequestQuery(std::string_view text,
+                                                  std::string* error) {
+  std::optional<ConjunctiveQuery> query = ParseQuery(text, error);
+  if (!query.has_value()) {
+    *error = "query parse error: " + *error;
+  } else if (!query->IsSafe()) {
+    *error = "unsafe query: every head variable must occur in a body subgoal";
+    query.reset();
+  } else if (query->HasBuiltins()) {
+    *error = "comparison subgoals are not supported";
+    query.reset();
+  }
+  return query;
 }
 
 }  // namespace
@@ -599,12 +619,11 @@ void PlanServer::SubmitWireRequest(Connection& conn,
     handle = frame.query_handle;
     query = it->second.query;
   } else {
-    std::string parse_error;
+    std::string error;
     std::optional<ConjunctiveQuery> parsed =
-        ParseQuery(frame.query_text, &parse_error);
+        ParseRequestQuery(frame.query_text, &error);
     if (!parsed.has_value()) {
-      SendWireError(conn, frame.request_id, WireStatus::kBadRequest,
-                    "query parse error: " + parse_error);
+      SendWireError(conn, frame.request_id, WireStatus::kBadRequest, error);
       return;
     }
     query = std::move(*parsed);
@@ -776,10 +795,9 @@ void PlanServer::HandleHttpPlan(Connection& conn,
     options = *parsed;
   }
   std::optional<ConjunctiveQuery> query =
-      ParseQuery(query_member->string_value(), &error);
+      ParseRequestQuery(query_member->string_value(), &error);
   if (!query.has_value()) {
-    QueueHttpResponse(conn, 400, JsonError("query parse error: " + error),
-                      keep_alive);
+    QueueHttpResponse(conn, 400, JsonError(error), keep_alive);
     return;
   }
 
@@ -816,7 +834,7 @@ void PlanServer::DebugLoop() {
     int code = 200;
     std::string error;
     const std::string& text = job.request.params.at("q");
-    std::optional<ConjunctiveQuery> query = ParseQuery(text, &error);
+    std::optional<ConjunctiveQuery> query = ParseRequestQuery(text, &error);
     CostModel model = CostModel::kM2;
     if (const auto it = job.request.params.find("model");
         it != job.request.params.end() &&
@@ -825,7 +843,7 @@ void PlanServer::DebugLoop() {
       body = JsonError("model must be m1|m2|m3");
     } else if (!query.has_value()) {
       code = 400;
-      body = JsonError("query parse error: " + error);
+      body = JsonError(error);
     } else {
       // Explain runs under the same budget cap as every /plan request.
       const ResourceLimits& cap = service_->budget();

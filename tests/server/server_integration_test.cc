@@ -794,5 +794,139 @@ TEST(PlanServerTest, HttpPlanAndHealthEndpointsAnswerOverRawSockets) {
   EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
 }
 
+
+// Queries the planner does not take. Both used to abort the server process
+// (CoreCover's comparison-free check, minimization's safety check).
+constexpr const char* kComparisonQuery = "q(X) :- p(X,Y), X < 3";
+constexpr const char* kUnsafeQuery = "q(X,Z) :- p(X,Y)";
+
+void ExpectHealthy(uint16_t http_port) {
+  const std::string health = HttpExchange(
+      http_port,
+      "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+  EXPECT_NE(health.find("HTTP/1.1 200"), std::string::npos) << health;
+}
+
+TEST(PlanServerTest, UnsafeAndComparisonQueriesAreBadRequestsOverBinary) {
+  ServerFixture fx(28);
+  std::string error;
+  net::OwnedFd fd =
+      net::ConnectTcp("127.0.0.1", fx.server->binary_port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  std::string buffer;
+  uint64_t id = 0;
+  for (const char* text : {kComparisonQuery, kUnsafeQuery}) {
+    net::PlanRequestFrame request;
+    request.request_id = ++id;
+    request.options.model = CostModel::kM2;
+    request.query_text = text;
+    net::PlanResponseFrame response;
+    ASSERT_TRUE(RoundTrip(fd.get(), request, &response, &buffer)) << text;
+    EXPECT_EQ(response.status, WireStatus::kBadRequest) << text;
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_FALSE(response.error.empty());
+  }
+  // The connection stays in sync and keeps planning.
+  net::PlanRequestFrame good;
+  good.request_id = ++id;
+  good.options.model = CostModel::kM2;
+  good.query_text = fx.workload.query.ToString();
+  net::PlanResponseFrame response;
+  ASSERT_TRUE(RoundTrip(fd.get(), good, &response, &buffer));
+  EXPECT_EQ(response.status, WireStatus::kOk) << response.error;
+  ExpectHealthy(fx.server->http_port());
+}
+
+TEST(PlanServerTest, UnsafeAndComparisonQueriesAreBadRequestsOverHttpPlan) {
+  ServerFixture fx(29);
+  for (const char* text : {kComparisonQuery, kUnsafeQuery}) {
+    const std::string response =
+        HttpExchange(fx.server->http_port(), HttpPlanRequest(text, "m2"));
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+  }
+  ExpectHealthy(fx.server->http_port());
+}
+
+TEST(PlanServerTest, UnsafeAndComparisonQueriesAreBadRequestsOverExplain) {
+  ServerFixture fx(30);
+  for (const char* encoded : {"q(X)%20:-%20p(X,Y),%20X%20%3C%203",
+                              "q(X,Z)%20:-%20p(X,Y)"}) {
+    const std::string response = HttpExchange(
+        fx.server->http_port(),
+        std::string("GET /explain?q=") + encoded +
+            "&model=m2 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+  }
+  ExpectHealthy(fx.server->http_port());
+}
+
+// A self-join chain whose only CoreCover rewriting, v0(X1,X4), v7(X0,X2),
+// is not equivalent to the query: the two tuple-cores overlap on
+// p0(X1,X2), each mapping one of its variables to an existential. The
+// planner must drop the candidate that fails certification and answer "no
+// rewriting", in process and over the wire, on fresh and cached plans.
+struct UncertifiableChain {
+  static constexpr const char* kQuery =
+      "q(X0,X4) :- p1(X0,X1), p0(X1,X2), p1(X2,X3), p1(X3,X4)";
+  ViewSet views = MustParseProgram(
+      "v0(B0,B3) :- p0(B0,B1), p1(B1,B2), p1(B2,B3).\n"
+      "v7(B0,B2) :- p1(B0,B1), p0(B1,B2).");
+  Database view_db =
+      MaterializeViews(views, *ParseDatabase("p0(1,2). p1(2,3). p1(3,1)."));
+};
+
+TEST(PlanServerTest, UncertifiableChainIsNoRewritingInProcess) {
+  const UncertifiableChain fx;
+  ViewPlanner planner(fx.views, fx.view_db);
+  const ConjunctiveQuery query = MustParseQuery(UncertifiableChain::kQuery);
+  for (const CostModel model :
+       {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+    for (const bool cached : {false, true}) {
+      const ViewPlanner::PlanResult result = planner.Plan(query, model);
+      EXPECT_EQ(result.status, PlanStatus::kNoRewriting)
+          << CostModelName(model);
+      EXPECT_EQ(result.cache_hit, cached);
+      EXPECT_NE(result.error.find("failed certification"), std::string::npos)
+          << result.error;
+    }
+    PlanRequestOptions request;
+    request.model = model;
+    const ViewPlanner::PlanExplanation explain =
+        planner.Explain(query, request);
+    EXPECT_EQ(explain.status, PlanStatus::kNoRewriting);
+    ASSERT_FALSE(explain.candidates.empty());
+    for (const auto& candidate : explain.candidates) {
+      EXPECT_FALSE(candidate.chosen);
+      EXPECT_EQ(candidate.reason, "failed certification");
+    }
+  }
+}
+
+TEST(PlanServerTest, UncertifiableChainIsNoRewritingOverHttp) {
+  const UncertifiableChain fx;
+  ViewPlanner planner(fx.views, fx.view_db);
+  PlanningService service(&planner, PlanningService::Options{});
+  server::PlanServer server(&service, server::PlanServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  for (const char* model : {"m1", "m2", "m3"}) {
+    const std::string response = HttpExchange(
+        server.http_port(),
+        HttpPlanRequest(UncertifiableChain::kQuery, model));
+    EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
+    EXPECT_NE(response.find("\"status\":\"no equivalent rewriting\""),
+              std::string::npos)
+        << response;
+  }
+  const std::string metrics = HttpExchange(
+      server.http_port(),
+      "GET /metricz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+  EXPECT_NE(metrics.find("planner.uncertified_dropped"), std::string::npos)
+      << metrics;
+  ExpectHealthy(server.http_port());
+  server.Stop();
+  service.Shutdown();
+}
+
 }  // namespace
 }  // namespace vbr
