@@ -13,20 +13,21 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build-tsan}
 # ctest names gtest cases "<Suite>.<Test>"; this matches the SymbolTable
 # stress suite, the determinism suites (including budget determinism), the
+# costing-session suites (four threads sharing one snapshot's memo), the
 # sharded plan cache suites, the view-delta suite (AddViews/RemoveViews
 # racing concurrent Plan calls), the resource-governance fault-injection
 # suites, the containment-memo determinism suite, the PlanningService stress
 # harness (worker pool, breaker ladder, concurrent ReplaceViews), and the
 # PlanServer integration suite (IO thread vs worker completions vs client
 # threads over real sockets).
-FILTER=${1:-'SymbolConcurrency|Determinism|PlanCache|ViewDelta|BudgetGovernance|FaultMatrix|FaultInjection|StressHarness|CircuitBreaker|PlanServer'}
+FILTER=${1:-'SymbolConcurrency|CostingSession|Determinism|PlanCache|ViewDelta|BudgetGovernance|FaultMatrix|FaultInjection|StressHarness|CircuitBreaker|PlanServer'}
 
 cmake -B "$BUILD_DIR" -S . \
   -DVBR_SANITIZE=thread \
   -DVBR_BUILD_BENCHMARKS=OFF \
   -DVBR_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target symbol_concurrency_test \
+  --target symbol_concurrency_test costing_session_test \
   determinism_test plan_cache_test plan_cache_metamorphic_test \
   view_delta_test \
   budget_determinism_test budget_governance_test fault_matrix_test \

@@ -6,8 +6,8 @@
 
 #include "common/budget.h"
 #include "common/check.h"
+#include "cost/costing_session.h"
 #include "cost/estimator.h"
-#include "engine/evaluator.h"
 
 namespace vbr {
 
@@ -39,8 +39,17 @@ size_t RoundCost(double cost) {
   return static_cast<size_t>(std::llround(cost));
 }
 
-// The M2 subset DP. `relation_size[g]` is |g| and `ir_size(atoms)` is
-// |IR| of a set of subgoals; Cost is size_t for measured sizes and double
+// Measured costs saturate at SIZE_MAX: a factored |IR| can, where the
+// enumeration it replaces would never have finished.
+size_t AddCost(size_t a, size_t b) {
+  return b > std::numeric_limits<size_t>::max() - a
+             ? std::numeric_limits<size_t>::max()
+             : a + b;
+}
+double AddCost(double a, double b) { return a + b; }
+
+// The M2 subset DP. `relation_size[g]` is |g| and `ir_size(mask)` is |IR|
+// of the subgoals in `mask`; Cost is size_t for measured sizes and double
 // for estimated ones. Masks are visited in increasing order, each charged
 // one governor work unit and measured once; on a cost tie the
 // lowest-numbered last subgoal wins.
@@ -68,12 +77,13 @@ M2OptimizationResult SubsetDp(const ConjunctiveQuery& rewriting,
         break;
       }
     }
-    const Cost ir = ir_size(SubgoalsIn(rewriting, mask));
+    const Cost ir = ir_size(mask);
     ++result.subsets_costed;
     for (size_t g = 0; g < n; ++g) {
       const uint32_t bit = uint32_t{1} << g;
       if (!(mask & bit)) continue;
-      const Cost total = best[mask ^ bit] + relation_size[g] + ir;
+      const Cost total =
+          AddCost(AddCost(best[mask ^ bit], relation_size[g]), ir);
       if (last[mask] < 0 || total < best[mask]) {
         best[mask] = total;
         last[mask] = static_cast<int>(g);
@@ -105,9 +115,9 @@ M2OptimizationResult OptimizeOrderM2(const ConjunctiveQuery& rewriting,
                                      const Database& view_db,
                                      const TraceContext& trace) {
   TraceSpan span(trace, "optimize_m2");
-  M2OptimizationResult result = SubsetDp(
-      rewriting, RelationSizes(rewriting, view_db),
-      [&](const std::vector<Atom>& atoms) { return JoinSize(atoms, view_db); });
+  const IrSizer ir_size(rewriting, view_db);
+  M2OptimizationResult result =
+      SubsetDp(rewriting, RelationSizes(rewriting, view_db), ir_size);
   if (result.aborted) span.AddAttribute("aborted", true);
   span.AddAttribute("subgoals",
                     static_cast<uint64_t>(rewriting.num_subgoals()));
@@ -124,10 +134,9 @@ M2OptimizationResult OptimizeOrderM2Estimated(
     const RelationStats* stats = catalog.Find(g.predicate());
     relation_size.push_back(stats == nullptr ? 0.0 : stats->rows);
   }
-  return SubsetDp(rewriting, relation_size,
-                  [&](const std::vector<Atom>& atoms) {
-                    return EstimateJoinSize(atoms, catalog);
-                  });
+  return SubsetDp(rewriting, relation_size, [&](uint32_t mask) {
+    return EstimateJoinSize(SubgoalsIn(rewriting, mask), catalog);
+  });
 }
 
 size_t CostOfOrderM2(const ConjunctiveQuery& rewriting,
@@ -135,11 +144,12 @@ size_t CostOfOrderM2(const ConjunctiveQuery& rewriting,
                      const Database& view_db) {
   VBR_CHECK(order.size() == rewriting.num_subgoals());
   const std::vector<size_t> relation_size = RelationSizes(rewriting, view_db);
+  const IrSizer ir_size(rewriting, view_db);
   size_t total = 0;
   uint32_t mask = 0;
   for (size_t g : order) {
     mask |= uint32_t{1} << g;
-    total += relation_size[g] + JoinSize(SubgoalsIn(rewriting, mask), view_db);
+    total = AddCost(AddCost(total, relation_size[g]), ir_size(mask));
   }
   return total;
 }

@@ -7,6 +7,7 @@
 
 #include "common/budget.h"
 #include "common/check.h"
+#include "cost/costing_session.h"
 #include "cost/supplementary.h"
 #include "cq/term.h"
 #include "rewrite/rewriting.h"
@@ -54,7 +55,7 @@ class DropSearch {
       plan.rewriting = p;
       plan.order = order_;
       plan.drop_after = drops_;
-      const size_t cost = ExecutePlan(plan, view_db_).TotalCost();
+      const size_t cost = MeasuredPlanCost(plan, view_db_);
       ++*plans_evaluated;
       if (cost < best->cost) {
         best->cost = cost;

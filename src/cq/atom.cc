@@ -33,7 +33,7 @@ Atom::Atom(std::string_view predicate, std::vector<Term> args)
     : predicate_(SymbolTable::Global().Intern(predicate)),
       args_(std::move(args)) {}
 
-const std::string& Atom::predicate_name() const {
+std::string Atom::predicate_name() const {
   return SymbolTable::Global().NameOf(predicate_);
 }
 

@@ -27,7 +27,7 @@ class Atom {
   Atom(std::string_view predicate, std::vector<Term> args);
 
   Symbol predicate() const { return predicate_; }
-  const std::string& predicate_name() const;
+  std::string predicate_name() const;
   const std::vector<Term>& args() const { return args_; }
   std::vector<Term>& mutable_args() { return args_; }
   size_t arity() const { return args_.size(); }

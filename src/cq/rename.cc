@@ -1,5 +1,8 @@
 #include "cq/rename.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "cq/term.h"
 
 namespace vbr {
@@ -7,13 +10,21 @@ namespace vbr {
 ConjunctiveQuery RenameVariablesApart(const ConjunctiveQuery& q,
                                       std::string_view prefix,
                                       Substitution* out_mapping) {
-  Substitution subst;
   // Head variables first so safe queries stay readable, then body.
-  for (Term t : q.DistinguishedVariables()) {
-    subst.Bind(t, FreshVar(prefix));
-  }
+  std::vector<Term> vars = q.DistinguishedVariables();
   for (Term t : q.Variables()) {
-    if (!subst.IsBound(t)) subst.Bind(t, FreshVar(prefix));
+    if (std::find(vars.begin(), vars.end(), t) == vars.end()) {
+      vars.push_back(t);
+    }
+  }
+  Substitution subst;
+  if (!vars.empty()) {
+    // One block, so the renaming records one fresh run, not one per
+    // variable.
+    const Symbol first = SymbolTable::Global().FreshBlock(prefix, vars.size());
+    for (size_t i = 0; i < vars.size(); ++i) {
+      subst.Bind(vars[i], Term::Variable(first + static_cast<Symbol>(i)));
+    }
   }
   if (out_mapping != nullptr) *out_mapping = subst;
   return subst.Apply(q);

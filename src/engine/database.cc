@@ -7,24 +7,32 @@
 
 namespace vbr {
 
+Relation& Database::Unshare(std::shared_ptr<Relation>& rel) {
+  // A count of 1 cannot rise concurrently: only a copy of this database
+  // could take another reference, and copying races with mutation anyway.
+  if (rel.use_count() > 1) rel = std::make_shared<Relation>(*rel);
+  return *rel;
+}
+
 Relation& Database::GetOrCreate(Symbol predicate, size_t arity) {
   auto it = relations_.find(predicate);
   if (it == relations_.end()) {
-    it = relations_.emplace(predicate, Relation(arity)).first;
+    it = relations_.emplace(predicate, std::make_shared<Relation>(arity))
+             .first;
   }
-  VBR_CHECK_MSG(it->second.arity() == arity,
+  VBR_CHECK_MSG(it->second->arity() == arity,
                 "predicate re-declared with different arity");
-  return it->second;
+  return Unshare(it->second);
 }
 
 const Relation* Database::Find(Symbol predicate) const {
   auto it = relations_.find(predicate);
-  return it == relations_.end() ? nullptr : &it->second;
+  return it == relations_.end() ? nullptr : it->second.get();
 }
 
 Relation* Database::FindMutable(Symbol predicate) {
   auto it = relations_.find(predicate);
-  return it == relations_.end() ? nullptr : &it->second;
+  return it == relations_.end() ? nullptr : &Unshare(it->second);
 }
 
 void Database::AddFact(const Atom& fact) {
@@ -60,7 +68,7 @@ bool Database::Remove(Symbol predicate) {
 
 size_t Database::TotalRows() const {
   size_t total = 0;
-  for (const auto& [sym, rel] : relations_) total += rel.size();
+  for (const auto& [sym, rel] : relations_) total += rel->size();
   return total;
 }
 

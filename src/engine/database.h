@@ -1,6 +1,7 @@
 #ifndef VBR_ENGINE_DATABASE_H_
 #define VBR_ENGINE_DATABASE_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -12,6 +13,13 @@
 namespace vbr {
 
 // A database instance: a relation per predicate symbol.
+//
+// Copies share their relations: copying a Database copies one pointer per
+// predicate, and a relation is cloned only when a copy that shares it asks
+// for it mutably (GetOrCreate, FindMutable, AddFact, AddRow). A planner
+// delta therefore costs a map of pointers, not every row of the catalog.
+// As with any value type, one Database object must not be mutated while
+// another thread reads or copies it; distinct copies are independent.
 class Database {
  public:
   Database() = default;
@@ -20,7 +28,9 @@ class Database {
   // absent. CHECK-fails if it exists with a different arity.
   Relation& GetOrCreate(Symbol predicate, size_t arity);
 
-  // The relation for `predicate`, or nullptr if absent.
+  // The relation for `predicate`, or nullptr if absent. The pointer stays
+  // valid until the relation is removed or replaced in this database, or
+  // is cloned by a mutable access.
   const Relation* Find(Symbol predicate) const;
   Relation* FindMutable(Symbol predicate);
 
@@ -52,7 +62,11 @@ class Database {
   std::string ToString() const;
 
  private:
-  std::unordered_map<Symbol, Relation> relations_;
+  // The relation owned by this database alone: clones `rel` if another
+  // copy still shares it.
+  static Relation& Unshare(std::shared_ptr<Relation>& rel);
+
+  std::unordered_map<Symbol, std::shared_ptr<Relation>> relations_;
 };
 
 }  // namespace vbr

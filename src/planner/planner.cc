@@ -212,7 +212,9 @@ std::string ViewPlanner::PlanExplanation::ToText() const {
     s += "truncated: candidate enumeration hit max_rewritings; the plan was "
          "chosen from an incomplete set\n";
   }
-  if (!ok()) return s;
+  // A failed plan still lists the candidates it costed (e.g. those that
+  // failed certification), as the JSON form does.
+  if (!ok() && candidates.empty()) return s;
   s += "minimized: " + minimized.ToString() + "\n";
   s += "candidates (" + std::to_string(candidates.size()) + "):\n";
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -361,7 +363,7 @@ std::optional<ViewPlanner::PlanChoice> ViewPlanner::CostRewriting(
   if (model == CostModel::kM3) {
     // Too wide for the exhaustive M3 search: M2 order + SR drops.
     out.physical.drop_after = SupplementaryDrops(logical, out.physical.order);
-    out.cost = ExecutePlan(out.physical, vs.instances).TotalCost();
+    out.cost = MeasuredPlanCost(out.physical, vs.instances);
   }
   return out;
 }
@@ -372,6 +374,7 @@ std::vector<ViewPlanner::CostedCandidate> ViewPlanner::CostAndPick(
     const std::vector<Atom>& filter_atoms, const TraceContext& trace) const {
   TraceSpan span(trace, "cost_and_pick");
   span.AddAttribute("candidates", static_cast<uint64_t>(rewritings.size()));
+  const CostingScope costing(vs.costing.get(), vs.instances);
   const bool use_filters = model != CostModel::kM1 && !filter_atoms.empty();
   std::vector<CostedCandidate> costed;
   for (size_t r = 0; r < rewritings.size(); ++r) {
@@ -839,6 +842,7 @@ ViewPlanner::PlanExplanation ViewPlanner::Explain(
   // breakdown describes the same view generation the plan was chosen on.
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
   const ViewSnapshot& vs = *snapshot;
+  const CostingScope costing(vs.costing.get(), vs.instances);
   const PlanResult result = [&] {
     const ScopedGovernor governed(request.limits());
     return PlanInternal(vs, query, request.model, TraceContext{trace, 0},

@@ -13,6 +13,7 @@
 #include "common/trace.h"
 #include "common/vbin.h"
 #include "cost/cost_model.h"
+#include "cost/costing_session.h"
 #include "cost/physical_plan.h"
 #include "cq/fingerprint.h"
 #include "cq/query.h"
@@ -100,6 +101,11 @@ class ViewPlanner {
     // Candidate index over `views` (null when use_view_index is off);
     // shared by every request pinned to this snapshot.
     std::shared_ptr<const ViewIndex> index;
+    // Exact sizes measured against `instances`, shared by every request
+    // pinned to this snapshot and dropped with it. Every snapshot gets a
+    // fresh one: a delta or swap changes the instances it describes.
+    std::unique_ptr<CostingSession> costing =
+        std::make_unique<CostingSession>();
   };
 
   struct PlanChoice {

@@ -128,7 +128,7 @@ TEST(SymbolConcurrencyTest, MixedInternFreshAndLookup) {
 TEST(SymbolConcurrencyTest, GrowthAcrossChunksKeepsNamesStable) {
   SymbolTable table;
   const Symbol early = table.Intern("early_bird");
-  const std::string& early_name = table.NameOf(early);
+  const std::string early_name = table.NameOf(early);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&table, t] {
@@ -139,10 +139,10 @@ TEST(SymbolConcurrencyTest, GrowthAcrossChunksKeepsNamesStable) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(table.size(), 1u + kThreads * 1200);
-  // The reference taken before the growth is still valid (entries never
-  // move) and still resolves.
+  // The name read before the growth still resolves, unchanged (entries
+  // never move).
   EXPECT_EQ(early_name, "early_bird");
-  EXPECT_EQ(&table.NameOf(early), &early_name);
+  EXPECT_EQ(table.NameOf(early), early_name);
 }
 
 }  // namespace

@@ -60,6 +60,46 @@ TEST(DatabaseTest, TotalRowsAndPredicates) {
   EXPECT_EQ(SymbolTable::Global().NameOf(preds[0]), "a_rel");
 }
 
+TEST(DatabaseTest, CopiesShareRelationsUntilWritten) {
+  Database db;
+  db.AddRow("shared_r", {1});
+  db.AddRow("shared_s", {1});
+  const Symbol r = SymbolTable::Global().Intern("shared_r");
+  const Symbol s = SymbolTable::Global().Intern("shared_s");
+  Database copy = db;
+  EXPECT_EQ(copy.Find(r), db.Find(r));
+  copy.AddRow("shared_r", {2});
+  // The write cloned r in the copy only; s is still shared.
+  EXPECT_NE(copy.Find(r), db.Find(r));
+  EXPECT_EQ(copy.Find(r)->size(), 2u);
+  EXPECT_EQ(db.Find(r)->size(), 1u);
+  EXPECT_EQ(copy.Find(s), db.Find(s));
+  // A relation no other copy shares is written in place.
+  const Relation* own = copy.Find(r);
+  EXPECT_EQ(copy.FindMutable(r), own);
+  ASSERT_NE(copy.FindMutable(s), nullptr);
+  EXPECT_NE(copy.Find(s), db.Find(s));
+  EXPECT_EQ(copy.Find(s)->size(), 1u);
+}
+
+TEST(DatabaseTest, MergeAndRemoveLeaveTheSourceIntact) {
+  Database base;
+  base.AddRow("merge_r", {1});
+  Database added;
+  added.AddRow("merge_r", {7});
+  added.AddRow("merge_t", {8});
+  Database merged = base;
+  merged.MergeFrom(added);
+  const Symbol r = SymbolTable::Global().Intern("merge_r");
+  const Symbol t = SymbolTable::Global().Intern("merge_t");
+  EXPECT_TRUE(merged.Find(r)->Contains({7}));
+  EXPECT_FALSE(merged.Find(r)->Contains({1}));
+  EXPECT_TRUE(base.Find(r)->Contains({1}));
+  EXPECT_TRUE(merged.Remove(t));
+  EXPECT_NE(added.Find(t), nullptr);
+  EXPECT_EQ(base.TotalRows(), 1u);
+}
+
 TEST(DatabaseDeathTest, ArityMismatchAborts) {
   Database db;
   db.AddRow("r", {1, 2});

@@ -249,5 +249,51 @@ TEST(PlannerExplainTest, ExplainWithDisabledCacheReportsDisabled) {
   EXPECT_EQ(explanation.cache_disposition, "disabled");
 }
 
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// A kNoRewriting whose candidates all failed certification lists them in
+// the text form too, as the JSON form does (the self-join chain whose two
+// tuple-cores overlap on p0(X1,X2)).
+TEST(PlannerExplainTest, TextListsTheFailedCandidatesOfANoRewritingResult) {
+  const ViewSet views = MustParseProgram(
+      "v0(B0,B3) :- p0(B0,B1), p1(B1,B2), p1(B2,B3).\n"
+      "v7(B0,B2) :- p1(B0,B1), p0(B1,B2).");
+  const ConjunctiveQuery query =
+      MustParseQuery("q(X0,X4) :- p1(X0,X1), p0(X1,X2), p1(X2,X3), p1(X3,X4)");
+  const ViewPlanner planner(
+      views, MaterializeViews(views, *ParseDatabase("p0(1,2). p1(2,3).")));
+  for (const CostModel model :
+       {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+    SCOPED_TRACE(CostModelName(model));
+    const auto explanation = planner.Explain(query, {.model = model});
+    ASSERT_EQ(explanation.status, PlanStatus::kNoRewriting);
+    ASSERT_FALSE(explanation.candidates.empty());
+    const std::string text = explanation.ToText();
+    EXPECT_NE(text.find("candidates (" +
+                        std::to_string(explanation.candidates.size()) +
+                        "):"),
+              std::string::npos)
+        << text;
+    for (const auto& candidate : explanation.candidates) {
+      EXPECT_NE(text.find(candidate.logical.ToString() +
+                          "  -- failed certification"),
+                std::string::npos)
+          << text;
+    }
+    EXPECT_EQ(Occurrences(text, "-- failed certification"),
+              explanation.candidates.size());
+    EXPECT_EQ(Occurrences(explanation.ToJson(),
+                          "\"reason\":\"failed certification\""),
+              explanation.candidates.size());
+  }
+}
+
 }  // namespace
 }  // namespace vbr

@@ -248,5 +248,60 @@ TEST(ViewDeltaTest, SnapshotWarmStartsADeltaBuiltCatalog) {
   EXPECT_TRUE(still_warm.cache_hit);
 }
 
+// Each snapshot's costing session measures that snapshot's instances: after
+// AddViews overwrites an existing view's instance (MergeFrom), and after
+// RemoveViews and ReplaceViews, warm M2/M3 costs equal a fresh planner's
+// on the same catalog, never the previous snapshot's memoized sizes.
+TEST(ViewDeltaTest, CostsComeFromTheCurrentSnapshotsInstances) {
+  Database small;
+  for (Value i = 0; i < 3; ++i) {
+    small.AddRow("w1", {i, i + 1});
+    small.AddRow("w2", {i + 1, i});
+  }
+  Database grown;  // w1 rebound to a larger instance, plus the new view's
+  for (Value i = 0; i < 9; ++i) grown.AddRow("w1", {i % 4, i});
+  grown.AddRow("t1", {1, 1});
+  Database merged = small;
+  merged.MergeFrom(grown);
+  Database removed = merged;
+  removed.Remove(SymbolTable::Global().Intern("t1"));
+  ViewSet with_t1 = BaseViews();
+  with_t1.push_back(IrrelevantView("t1"));
+
+  auto fresh_cost = [&](const ViewSet& views, const Database& instances,
+                        CostModel model) {
+    return ViewPlanner(views, instances).Plan(TestQuery(), model).choice->cost;
+  };
+  ViewPlanner planner(BaseViews(), small);
+  for (const CostModel model : {CostModel::kM2, CostModel::kM3}) {
+    SCOPED_TRACE(CostModelName(model));
+    const size_t before = fresh_cost(BaseViews(), small, model);
+    for (int warm = 0; warm < 2; ++warm) {
+      EXPECT_EQ(planner.Plan(TestQuery(), model).choice->cost, before);
+    }
+  }
+  planner.AddViews({IrrelevantView("t1")}, grown);
+  for (const CostModel model : {CostModel::kM2, CostModel::kM3}) {
+    SCOPED_TRACE(CostModelName(model));
+    const size_t expected = fresh_cost(with_t1, merged, model);
+    EXPECT_NE(expected, fresh_cost(BaseViews(), small, model));
+    for (int warm = 0; warm < 2; ++warm) {
+      EXPECT_EQ(planner.Plan(TestQuery(), model).choice->cost, expected);
+    }
+  }
+  ASSERT_EQ(planner.RemoveViews({"t1"}), 1u);
+  for (const CostModel model : {CostModel::kM2, CostModel::kM3}) {
+    SCOPED_TRACE(CostModelName(model));
+    EXPECT_EQ(planner.Plan(TestQuery(), model).choice->cost,
+              fresh_cost(BaseViews(), removed, model));
+  }
+  planner.ReplaceViews(BaseViews(), small);
+  for (const CostModel model : {CostModel::kM2, CostModel::kM3}) {
+    SCOPED_TRACE(CostModelName(model));
+    EXPECT_EQ(planner.Plan(TestQuery(), model).choice->cost,
+              fresh_cost(BaseViews(), small, model));
+  }
+}
+
 }  // namespace
 }  // namespace vbr

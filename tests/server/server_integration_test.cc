@@ -923,6 +923,9 @@ TEST(PlanServerTest, UncertifiableChainIsNoRewritingOverHttp) {
       "GET /metricz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
   EXPECT_NE(metrics.find("planner.uncertified_dropped"), std::string::npos)
       << metrics;
+  // Costing the M2/M3 candidates went through the snapshot's memo.
+  EXPECT_NE(metrics.find("cost.memo_hits"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("cost.memo_misses"), std::string::npos) << metrics;
   ExpectHealthy(server.http_port());
   server.Stop();
   service.Shutdown();
