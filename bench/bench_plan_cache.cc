@@ -1,8 +1,11 @@
 // Plan-cache benchmark: warm-vs-cold planning latency over Section 7
 // chain/star workloads.
 //
-// "Cold" plans through a cache-disabled planner (every request pays the
-// full CoreCover* run). "Warm" pre-populates the cache with one
+// "Cold" plans every query through a cache-disabled planner built fresh
+// for it outside the timed region: every request pays the full CoreCover*
+// run, and the planner's per-snapshot costing memo starts empty (a reused
+// planner would serve the renamed variants' costing from the memo its
+// first plan filled). "Warm" pre-populates the cache with one
 // representative per query and then measures renamed/reordered variants,
 // which hit the fingerprint cache and only pay canonicalization plus
 // re-costing. The hit_rate counter comes straight from the planner's cache
@@ -101,6 +104,12 @@ ViewPlanner::Options BenchOptions(bool enable_cache) {
   return options;
 }
 
+std::unique_ptr<ViewPlanner> MakePlanner(const CacheWorkload& w, size_t i,
+                                         bool enable_cache) {
+  return std::make_unique<ViewPlanner>(w.base[i].views, w.view_dbs[i],
+                                       BenchOptions(enable_cache));
+}
+
 void RunPlanLatency(benchmark::State& state, QueryShape shape, bool warm) {
   const CostModel model =
       state.range(0) == 0 ? CostModel::kM1 : CostModel::kM2;
@@ -108,8 +117,7 @@ void RunPlanLatency(benchmark::State& state, QueryShape shape, bool warm) {
   std::vector<std::unique_ptr<ViewPlanner>> planners;
   size_t planned_per_iter = 0;
   for (size_t i = 0; i < w.base.size(); ++i) {
-    planners.push_back(std::make_unique<ViewPlanner>(
-        w.base[i].views, w.view_dbs[i], BenchOptions(warm)));
+    planners.push_back(MakePlanner(w, i, warm));
     if (warm) {
       // Pre-populate: the representative pays the one cold run.
       benchmark::DoNotOptimize(planners[i]->Plan(w.base[i].query, model));
@@ -119,6 +127,11 @@ void RunPlanLatency(benchmark::State& state, QueryShape shape, bool warm) {
   for (auto _ : state) {
     for (size_t i = 0; i < w.base.size(); ++i) {
       for (const ConjunctiveQuery& q : w.variants[i]) {
+        if (!warm) {
+          state.PauseTiming();
+          planners[i] = MakePlanner(w, i, /*enable_cache=*/false);
+          state.ResumeTiming();
+        }
         benchmark::DoNotOptimize(planners[i]->Plan(q, model));
       }
     }

@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     load.queries.push_back(q.ToString());
   }
 
-  if (chaos) net::ChaosSocket::Enable(net::ChaosOptions::Soak(chaos_seed));
+  if (chaos) net::ChaosSocket::Enable(chaos_seed);
   net::LoadReport report;
   const bool load_ok = net::RunLoad(load, &report, &error);
   if (chaos) {

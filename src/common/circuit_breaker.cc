@@ -1,21 +1,10 @@
 #include "common/circuit_breaker.h"
 
-#include "common/check.h"
-
 namespace vbr {
-
-CircuitBreaker::CircuitBreaker(const CircuitBreakerOptions& options)
-    : options_(options), outcomes_(options.window, false) {
-  VBR_CHECK_MSG(options.window > 0, "breaker window must be positive");
-  VBR_CHECK_MSG(options.num_levels >= 2,
-                "breaker needs at least a healthy and a reject level");
-  VBR_CHECK_MSG(options.probe_interval >= 1,
-                "probe_interval must be at least 1");
-}
 
 void CircuitBreaker::Record(bool failure) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (filled_ == outcomes_.size()) {
+  if (filled_ == kWindow) {
     // Overwrite the oldest outcome.
     if (outcomes_[next_slot_]) --failures_;
   } else {
@@ -23,20 +12,17 @@ void CircuitBreaker::Record(bool failure) {
   }
   outcomes_[next_slot_] = failure;
   if (failure) ++failures_;
-  next_slot_ = (next_slot_ + 1) % outcomes_.size();
-  ++since_move_;
+  next_slot_ = (next_slot_ + 1) % kWindow;
 
-  if (filled_ < options_.min_samples || since_move_ < options_.cooldown) {
-    return;
-  }
+  if (filled_ < kMinSamples) return;
   const double rate =
       static_cast<double>(failures_) / static_cast<double>(filled_);
   const uint32_t level = level_.load(std::memory_order_relaxed);
   uint32_t next = level;
-  if (rate >= options_.trip_threshold && level + 1 < options_.num_levels) {
+  if (rate >= kTripThreshold && level < kRejectLevel) {
     next = level + 1;
     trips_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rate <= options_.clear_threshold && level > 0) {
+  } else if (rate <= kClearThreshold && level > 0) {
     next = level - 1;
     recoveries_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -44,23 +30,22 @@ void CircuitBreaker::Record(bool failure) {
     level_.store(next, std::memory_order_release);
     // A fresh window per level: outcomes observed under the old service
     // level do not describe the new one.
-    std::fill(outcomes_.begin(), outcomes_.end(), false);
+    outcomes_.reset();
     filled_ = 0;
     failures_ = 0;
-    since_move_ = 0;
   }
 }
 
 CircuitBreaker::Admission CircuitBreaker::Admit() {
-  if (level_.load(std::memory_order_acquire) != reject_level()) {
+  if (level_.load(std::memory_order_acquire) != kRejectLevel) {
     return Admission::kAdmit;
   }
   std::lock_guard<std::mutex> lock(mu_);
   // Re-check under the lock (the level may have just moved).
-  if (level_.load(std::memory_order_relaxed) != reject_level()) {
+  if (level_.load(std::memory_order_relaxed) != kRejectLevel) {
     return Admission::kAdmit;
   }
-  if (++probe_counter_ >= options_.probe_interval) {
+  if (++probe_counter_ >= kProbeInterval) {
     probe_counter_ = 0;
     return Admission::kProbe;
   }

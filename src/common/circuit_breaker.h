@@ -2,11 +2,10 @@
 #define VBR_COMMON_CIRCUIT_BREAKER_H_
 
 #include <atomic>
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <vector>
 
 namespace vbr {
 
@@ -17,39 +16,23 @@ namespace vbr {
 // more gracefully than that, because the paper's cost-model hierarchy gives
 // a ladder of cheaper service levels before outright rejection: full
 // planning -> shed tracing -> shrunken budgets -> cached-or-M1-only ->
-// reject. The breaker tracks a sliding window of request outcomes and walks
-// the ladder one rung at a time: sustained failure (budget exhaustion,
-// deadline misses) escalates, sustained success de-escalates.
+// reject (the rungs are named by PlanningService::ServiceLevel). The
+// breaker tracks a sliding window of request outcomes and walks the ladder
+// one rung at a time: sustained failure (budget exhaustion, deadline
+// misses) escalates, sustained success de-escalates.
 //
 // Determinism: the level is a pure function of the outcome SEQUENCE — the
-// breaker reads no clock and no RNG. Cooldown between level moves is
-// counted in outcomes, not seconds, so a test that feeds a fixed outcome
-// sequence observes a fixed level trajectory. Recovery needs traffic, not
-// time: at the top (reject) level every `probe_interval`-th admission is
-// let through as a probe (the half-open state), so the window keeps
-// receiving genuine outcomes and the breaker can walk back down.
+// breaker reads no clock and no RNG. A level move clears the window, so
+// the kMinSamples outcomes it needs before acting again are also the
+// cooldown between moves, counted in outcomes, not seconds: a test that
+// feeds a fixed outcome sequence observes a fixed level trajectory.
+// Recovery needs traffic, not time: at the reject level every
+// kProbeInterval-th admission is let through as a probe (the half-open
+// state), so the window keeps receiving genuine outcomes and the breaker
+// can walk back down.
 //
 // Thread safety: Record* and Admit take a mutex (the window is shared
 // state); level() is a lock-free atomic read for hot-path checks.
-
-struct CircuitBreakerOptions {
-  // Sliding outcome window size.
-  size_t window = 64;
-  // Minimum outcomes in the window before the failure rate is acted on.
-  size_t min_samples = 16;
-  // Failure rate at or above which the breaker escalates one level.
-  double trip_threshold = 0.5;
-  // Failure rate at or below which it de-escalates one level.
-  double clear_threshold = 0.1;
-  // Outcomes that must accrue after a level move before the next move
-  // (prevents one bad window from sprinting to the top).
-  size_t cooldown = 16;
-  // Number of ladder levels; level 0 = healthy, num_levels - 1 = reject.
-  uint32_t num_levels = 5;
-  // At the reject level, every probe_interval-th Admit() is allowed
-  // through as a half-open probe. Must be >= 1.
-  size_t probe_interval = 8;
-};
 
 class CircuitBreaker {
  public:
@@ -59,7 +42,23 @@ class CircuitBreaker {
     kReject,     // at the reject level: shed
   };
 
-  explicit CircuitBreaker(const CircuitBreakerOptions& options);
+  // Sliding outcome window size.
+  static constexpr size_t kWindow = 64;
+  // Outcomes the window must hold before its failure rate is acted on.
+  // Every level move clears the window, so this is also the cooldown
+  // between moves (one bad window cannot sprint up the ladder).
+  static constexpr size_t kMinSamples = 16;
+  // Failure rate at or above which the breaker escalates one level.
+  static constexpr double kTripThreshold = 0.5;
+  // Failure rate at or below which it de-escalates one level.
+  static constexpr double kClearThreshold = 0.1;
+  // Ladder levels: 0 = healthy, kRejectLevel = reject.
+  static constexpr uint32_t kRejectLevel = 4;
+  // At the reject level, every kProbeInterval-th Admit() is let through as
+  // a half-open probe.
+  static constexpr size_t kProbeInterval = 8;
+
+  CircuitBreaker() = default;
 
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
@@ -73,9 +72,8 @@ class CircuitBreaker {
   // Admission decision for one request at the current level.
   Admission Admit();
 
-  // Current ladder level: 0 = full service, num_levels - 1 = reject.
+  // Current ladder level: 0 = full service, kRejectLevel = reject.
   uint32_t level() const { return level_.load(std::memory_order_acquire); }
-  uint32_t reject_level() const { return options_.num_levels - 1; }
 
   // Cumulative level escalations / de-escalations.
   uint64_t trips() const { return trips_.load(std::memory_order_relaxed); }
@@ -86,23 +84,19 @@ class CircuitBreaker {
   // Failure rate over the current window (0 when empty).
   double failure_rate() const;
 
-  const CircuitBreakerOptions& options() const { return options_; }
-
  private:
   void Record(bool failure);
 
-  const CircuitBreakerOptions options_;
   std::atomic<uint32_t> level_{0};
   std::atomic<uint64_t> trips_{0};
   std::atomic<uint64_t> recoveries_{0};
 
   mutable std::mutex mu_;
-  // Ring buffer of the last `window` outcomes (true = failure).
-  std::vector<bool> outcomes_;     // guarded by mu_
+  // Ring buffer of the last kWindow outcomes (true = failure).
+  std::bitset<kWindow> outcomes_;  // guarded by mu_
   size_t next_slot_ = 0;           // guarded by mu_
   size_t filled_ = 0;              // guarded by mu_
   size_t failures_ = 0;            // guarded by mu_
-  size_t since_move_ = 0;          // outcomes since the last level move
   size_t probe_counter_ = 0;       // guarded by mu_
 };
 

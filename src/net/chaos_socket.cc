@@ -7,8 +7,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "common/fault_injection.h"
-
 namespace vbr::net {
 
 namespace {
@@ -29,8 +27,21 @@ constexpr uint64_t kWriteSalt = 0xc2b2ae3d27d4eb4fULL;
 constexpr uint64_t kAcceptSalt = 0x165667b19e3779f9ULL;
 constexpr uint64_t kConnectSalt = 0x27d4eb2f165667c5ULL;
 
+// The fault mix, in percent of crossings per operation kind.  The rates
+// keep a resilient client making progress (aggregate ~15% of operations).
+constexpr int kReadDisconnectPct = 1;   // shutdown(2) the socket, kError
+constexpr int kReadEagainPct = 4;       // spurious kWouldBlock, no syscall
+constexpr int kShortReadPct = 6;        // clamp the read to a single byte
+constexpr int kWriteDisconnectPct = 1;  // shutdown(2) mid-frame, kError
+constexpr int kWriteEagainPct = 4;      // spurious kWouldBlock, no syscall
+constexpr int kShortWritePct = 6;       // clamp the write to a single byte
+constexpr int kWriteDelayPct = 2;       // sleep kWriteDelay, then write
+constexpr int kAcceptResetPct = 5;      // RST the just-accepted connection
+constexpr int kConnectFailPct = 5;      // fail ConnectTcp[Timeout] outright
+constexpr std::chrono::microseconds kWriteDelay{200};
+
 struct ChaosState {
-  ChaosOptions options;
+  uint64_t seed = 1;
   std::atomic<uint64_t> read_crossings{0};
   std::atomic<uint64_t> write_crossings{0};
   std::atomic<uint64_t> accept_crossings{0};
@@ -62,8 +73,8 @@ enum class Pick : uint8_t { kNone, kDisconnect, kEagain, kShort, kDelay };
 
 Pick Draw(uint64_t salt, uint64_t crossing, int disconnect_pct,
           int eagain_pct, int short_pct, int delay_pct) {
-  const ChaosOptions& o = State().options;
-  const uint64_t z = Mix64(o.seed ^ salt ^ (crossing * 0xd1342543de82ef95ULL));
+  const uint64_t z =
+      Mix64(State().seed ^ salt ^ (crossing * 0xd1342543de82ef95ULL));
   const int roll = static_cast<int>(z % 100);
   int bound = disconnect_pct;
   if (roll < bound) return Pick::kDisconnect;
@@ -88,29 +99,13 @@ IoResult InjectDisconnect(int fd) {
 
 std::atomic<bool> ChaosSocket::enabled_{false};
 
-ChaosOptions ChaosOptions::Soak(uint64_t seed) {
-  ChaosOptions o;
-  o.seed = seed;
-  o.read_disconnect_pct = 1;
-  o.read_eagain_pct = 4;
-  o.short_read_pct = 6;
-  o.write_disconnect_pct = 1;
-  o.write_eagain_pct = 4;
-  o.short_write_pct = 6;
-  o.write_delay_pct = 2;
-  o.accept_reset_pct = 5;
-  o.connect_fail_pct = 5;
-  o.delay_us = 200;
-  return o;
-}
-
-void ChaosSocket::Enable(const ChaosOptions& options) {
+void ChaosSocket::Enable(uint64_t seed) {
   ChaosState& state = State();
   {
     std::lock_guard<std::mutex> lock(state.tracked_mu);
     state.tracked.clear();
   }
-  state.options = options;
+  state.seed = seed;
   state.read_crossings.store(0);
   state.write_crossings.store(0);
   state.accept_crossings.store(0);
@@ -176,15 +171,8 @@ ChaosVerdict ChaosSocket::BeforeRead(int fd, size_t len) {
   ChaosState& state = State();
   const uint64_t n =
       state.read_crossings.fetch_add(1, std::memory_order_relaxed);
-  // An armed registry fault overrides the seeded schedule at its crossing.
-  if (FaultCheck("chaos.read").has_value()) {
-    state.read_disconnects.fetch_add(1, std::memory_order_relaxed);
-    verdict.forced = InjectDisconnect(fd);
-    return verdict;
-  }
-  const ChaosOptions& o = state.options;
-  switch (Draw(kReadSalt, n, o.read_disconnect_pct, o.read_eagain_pct,
-               o.short_read_pct, 0)) {
+  switch (Draw(kReadSalt, n, kReadDisconnectPct, kReadEagainPct,
+               kShortReadPct, 0)) {
     case Pick::kDisconnect:
       state.read_disconnects.fetch_add(1, std::memory_order_relaxed);
       verdict.forced = InjectDisconnect(fd);
@@ -211,14 +199,8 @@ ChaosVerdict ChaosSocket::BeforeWrite(int fd, size_t len) {
   ChaosState& state = State();
   const uint64_t n =
       state.write_crossings.fetch_add(1, std::memory_order_relaxed);
-  if (FaultCheck("chaos.write").has_value()) {
-    state.write_disconnects.fetch_add(1, std::memory_order_relaxed);
-    verdict.forced = InjectDisconnect(fd);
-    return verdict;
-  }
-  const ChaosOptions& o = state.options;
-  switch (Draw(kWriteSalt, n, o.write_disconnect_pct, o.write_eagain_pct,
-               o.short_write_pct, o.write_delay_pct)) {
+  switch (Draw(kWriteSalt, n, kWriteDisconnectPct, kWriteEagainPct,
+               kShortWritePct, kWriteDelayPct)) {
     case Pick::kDisconnect:
       state.write_disconnects.fetch_add(1, std::memory_order_relaxed);
       verdict.forced = InjectDisconnect(fd);
@@ -235,8 +217,7 @@ ChaosVerdict ChaosSocket::BeforeWrite(int fd, size_t len) {
       break;
     case Pick::kDelay:
       state.write_delays.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(state.options.delay_us));
+      std::this_thread::sleep_for(kWriteDelay);
       break;
     default:
       break;
@@ -248,12 +229,7 @@ bool ChaosSocket::OnAccept(int fd) {
   ChaosState& state = State();
   const uint64_t n =
       state.accept_crossings.fetch_add(1, std::memory_order_relaxed);
-  bool reset = FaultCheck("chaos.accept").has_value();
-  if (!reset) {
-    reset = Draw(kAcceptSalt, n, state.options.accept_reset_pct, 0, 0, 0) ==
-            Pick::kDisconnect;
-  }
-  if (reset) {
+  if (Draw(kAcceptSalt, n, kAcceptResetPct, 0, 0, 0) == Pick::kDisconnect) {
     state.accept_resets.fetch_add(1, std::memory_order_relaxed);
     // SO_LINGER(0) turns the close into an RST, which is what a client
     // that vanished between connect and accept looks like.
@@ -268,12 +244,7 @@ bool ChaosSocket::OnConnect() {
   ChaosState& state = State();
   const uint64_t n =
       state.connect_crossings.fetch_add(1, std::memory_order_relaxed);
-  bool fail = FaultCheck("chaos.connect").has_value();
-  if (!fail) {
-    fail = Draw(kConnectSalt, n, state.options.connect_fail_pct, 0, 0, 0) ==
-           Pick::kDisconnect;
-  }
-  if (fail) {
+  if (Draw(kConnectSalt, n, kConnectFailPct, 0, 0, 0) == Pick::kDisconnect) {
     state.connect_failures.fetch_add(1, std::memory_order_relaxed);
     return true;
   }

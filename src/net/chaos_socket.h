@@ -17,14 +17,11 @@
 //
 // Determinism.  Each operation kind keeps its own crossing counter, and
 // the decision for crossing n is a pure function splitmix64(seed, site, n)
-// of the enabled ChaosOptions — a single-threaded client replays the exact
-// same fault schedule from the same seed, and a multi-threaded soak
-// replays the same fault MIX.  On top of the seeded schedule, every
-// crossing also consults the global FaultRegistry at the sites
-// "chaos.read", "chaos.write", "chaos.accept", "chaos.connect", so a test
-// can force a specific fault at exactly the Nth crossing with
-// FaultRegistry::Arm(site, FaultKind::kStageAbort, n) — kStageAbort maps
-// to the site's terminal fault (disconnect / reset / connect failure).
+// — a single-threaded client replays the exact same fault schedule from
+// the same seed, and a multi-threaded soak replays the same fault MIX.
+// The mix is fixed (the rates live in chaos_socket.cc): every failure mode
+// is enabled at rates that keep a resilient client making progress, about
+// 15% of operations in aggregate.
 //
 // Scope.  Faults apply only to descriptors the layer tracks: sockets
 // returned by AcceptConn and ConnectTcp[Timeout] while the layer is
@@ -47,37 +44,8 @@
 
 namespace vbr::net {
 
-// Per-operation fault rates in percent [0, 100] of crossings.  The rates
-// are evaluated in the declared order; at most one fault fires per
-// operation.
-struct ChaosOptions {
-  uint64_t seed = 1;
-
-  // Read side (tracked fds only).
-  int read_disconnect_pct = 0;  // shutdown(2) the socket, return kError
-  int read_eagain_pct = 0;      // spurious kWouldBlock, no syscall
-  int short_read_pct = 0;       // clamp the read to a single byte
-
-  // Write side.
-  int write_disconnect_pct = 0;  // shutdown(2) mid-frame, return kError
-  int write_eagain_pct = 0;      // spurious kWouldBlock, no syscall
-  int short_write_pct = 0;       // clamp the write to a single byte
-  int write_delay_pct = 0;       // sleep delay_us, then write normally
-
-  // Connection lifecycle.
-  int accept_reset_pct = 0;   // RST the just-accepted connection
-  int connect_fail_pct = 0;   // fail ConnectTcp[Timeout] outright
-
-  int delay_us = 200;  // length of an injected write delay
-
-  // The canonical soak mix used by chaos_soak_test and vbr_loadgen
-  // --chaos: every failure mode enabled at rates that keep a resilient
-  // client making progress (aggregate fault rate ~15% of operations).
-  static ChaosOptions Soak(uint64_t seed);
-};
-
-// What an interposed operation should do (internal contract between this
-// layer and socket.cc, exposed for the unit tests).
+// What an interposed operation should do (the contract between this layer
+// and socket.cc; tests/net/chaos_socket_test.cc drives it directly).
 struct ChaosVerdict {
   // When set, the operation returns this result without any syscall (the
   // disconnect verdicts shutdown(2) the fd first).
@@ -109,8 +77,8 @@ class ChaosSocket {
   };
 
   // Enabling resets the crossing counters, fault stats, and tracked set,
-  // so every Enable starts an identical schedule for the given options.
-  static void Enable(const ChaosOptions& options);
+  // so every Enable starts an identical schedule for the given seed.
+  static void Enable(uint64_t seed);
   static void Disable();
   static bool enabled() {
     return enabled_.load(std::memory_order_relaxed);

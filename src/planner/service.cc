@@ -14,6 +14,10 @@ namespace vbr {
 
 namespace {
 
+// The work-unit limit of the shrunken budget at kLevelShrunkenBudget and
+// above, merged stricter-wins into the governor's limits.
+constexpr uint64_t kBrownoutWorkLimit = 50'000;
+
 // The brown-out ladder's service-time instruments, resolved once.
 struct ServiceMetrics {
   Counter* submitted;
@@ -144,8 +148,7 @@ std::string PlanningService::PlanResponse::ToJson() const {
 
 PlanningService::PlanningService(const ViewPlanner* planner, Options options)
     : planner_(planner),
-      options_(std::move(options)),
-      breaker_(options_.breaker) {
+      options_(std::move(options)) {
   VBR_CHECK_MSG(planner_ != nullptr, "service needs a planner");
   VBR_CHECK_MSG(options_.num_workers >= 1, "service needs a worker");
   VBR_CHECK_MSG(options_.max_queue >= 1, "service needs a queue slot");
@@ -157,27 +160,19 @@ PlanningService::PlanningService(const ViewPlanner* planner, Options options)
 
 PlanningService::~PlanningService() { Shutdown(DrainMode::kDrain); }
 
-void PlanningService::Fulfill(Request& request, PlanResponse response) {
-  if (request.callback) {
-    request.callback(std::move(response));
-  } else {
-    request.promise.set_value(std::move(response));
-  }
-}
-
 std::future<PlanningService::PlanResponse> PlanningService::Submit(
     PlanRequest request) {
-  return SubmitInternal(std::move(request), nullptr);
+  auto promise = std::make_shared<std::promise<PlanResponse>>();
+  std::future<PlanResponse> future = promise->get_future();
+  SubmitWithCallback(std::move(request), [promise](PlanResponse response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
 }
 
 void PlanningService::SubmitWithCallback(
     PlanRequest request, std::function<void(PlanResponse)> done) {
   VBR_CHECK_MSG(done != nullptr, "SubmitWithCallback needs a callback");
-  SubmitInternal(std::move(request), std::move(done));
-}
-
-std::future<PlanningService::PlanResponse> PlanningService::SubmitInternal(
-    PlanRequest request, std::function<void(PlanResponse)> done) {
   const ServiceMetrics& metrics = ServiceMetrics::Get();
   metrics.submitted->Increment();
   if (options_.request_log != nullptr) {
@@ -185,13 +180,6 @@ std::future<PlanningService::PlanResponse> PlanningService::SubmitInternal(
     // differently-configured service still submits what the client asked.
     options_.request_log->Append(request.query, request.options);
   }
-  // The promise/future pair is only armed for future-style submissions;
-  // callback submissions leave the future in a default (invalid) state the
-  // caller never sees.
-  std::promise<PlanResponse> promise;
-  std::future<PlanResponse> future;
-  if (done == nullptr) future = promise.get_future();
-
   RejectReason reject = RejectReason::kNone;
   bool probe = false;
   {
@@ -235,15 +223,14 @@ std::future<PlanningService::PlanResponse> PlanningService::SubmitInternal(
       if (probe) ++stats_.probes;
       auto queued = std::make_unique<Request>();
       queued->request = std::move(request);
-      queued->promise = std::move(promise);
-      queued->callback = std::move(done);
+      queued->done = std::move(done);
       queued->probe = probe;
       queue_.push_back(std::move(queued));
       VBR_CHECK(queue_.size() <= options_.max_queue);
       metrics.admitted->Increment();
       if (probe) metrics.probes->Increment();
       cv_.notify_one();
-      return future;
+      return;
     }
 
     ++stats_.rejected;
@@ -271,13 +258,8 @@ std::future<PlanningService::PlanResponse> PlanningService::SubmitInternal(
   response.status = ServiceStatus::kRejected;
   response.reject_reason = reject;
   response.error = RejectReasonName(reject);
-  if (done != nullptr) {
-    // Rejected callback submissions complete inline on the caller's thread.
-    done(std::move(response));
-  } else {
-    promise.set_value(std::move(response));
-  }
-  return future;
+  // Rejected submissions complete inline on the caller's thread.
+  done(std::move(response));
 }
 
 PlanningService::PlanResponse PlanningService::Plan(PlanRequest request) {
@@ -317,22 +299,27 @@ void PlanningService::WorkerLoop() {
   }
 }
 
-uint32_t PlanningService::EffectiveLevel() const {
+PlanningService::ServiceLevel PlanningService::EffectiveLevel() const {
   // Requests that reach a worker were admitted (possibly as probes), so the
   // reject rung never executes; clamp to the rung below it.
-  return std::min(breaker_.level(), breaker_.reject_level() - 1);
+  return static_cast<ServiceLevel>(
+      std::min<uint32_t>(breaker_.level(), kLevelCachedOrM1));
 }
 
 ResourceLimits PlanningService::PlanLimits(
-    uint32_t level, double remaining_ms,
+    ServiceLevel level, double remaining_ms,
     const PlanRequestOptions& request) const {
   // Service-wide cap tightened by the request's own budget, whose deadline
   // is the time it has left: a client can narrow its request but never
-  // widen the operator's limits. Brown-out rung 2 tightens further.
+  // widen the operator's limits. The shrunken-budget rung tightens further.
   ResourceLimits request_limits = request.limits();
   request_limits.deadline_ms = remaining_ms;
   ResourceLimits limits = options_.budget.StricterOf(request_limits);
-  if (level >= 2) limits = limits.StricterOf(options_.brownout_budget);
+  if (level >= kLevelShrunkenBudget) {
+    ResourceLimits shrunken;
+    shrunken.work_limit = kBrownoutWorkLimit;
+    limits = limits.StricterOf(shrunken);
+  }
   return limits;
 }
 
@@ -348,7 +335,7 @@ void PlanningService::Shed(Request& request, const std::string& why,
   }
   ServiceMetrics::Get().shed->Increment();
   if (record_failure) breaker_.RecordFailure();
-  Fulfill(request, std::move(response));
+  request.done(std::move(response));
 }
 
 void PlanningService::Serve(Request& request) {
@@ -364,15 +351,15 @@ void PlanningService::Serve(Request& request) {
   }
 
   const Timer serve_timer;
-  const uint32_t level = EffectiveLevel();
+  const ServiceLevel level = EffectiveLevel();
   PlanResponse response;
   response.service_level = level;
   response.queue_wait_ms = waited_ms;
 
-  // Rung 1: shed tracing (and EXPLAIN-style extras) before planning work.
+  // Shed tracing (and EXPLAIN-style extras) before planning work.
   TraceContext trace;
   std::optional<TraceSpan> span;
-  if (request.request.trace != nullptr && level < 1) {
+  if (request.request.trace != nullptr && level < kLevelShedTracing) {
     span.emplace(request.request.trace, "service.request");
     span->AddAttribute("level", static_cast<uint64_t>(level));
     span->AddAttribute("model", CostModelName(request.request.options.model));
@@ -382,10 +369,10 @@ void PlanningService::Serve(Request& request) {
 
   CostModel model = request.request.options.model;
   bool served = false;
-  // Rung 3: cached-or-M1-only. Warm traffic is still answered (a cache hit
-  // re-costs but never searches); cold traffic is demoted to M1, the
+  // Cached-or-M1-only. Warm traffic is still answered (a cache hit re-costs
+  // but never searches); cold traffic is demoted to M1, the
   // instance-independent model with the cheapest costing loop.
-  if (level >= 3) {
+  if (level >= kLevelCachedOrM1) {
     if (std::optional<ViewPlanner::PlanResult> cached =
             planner_->TryPlanFromCache(request.request.query, model)) {
       response.result = std::move(*cached);
@@ -410,8 +397,8 @@ void PlanningService::Serve(Request& request) {
             : 0;
     const ResourceLimits limits =
         PlanLimits(level, remaining_ms, request.request.options);
-    // Rung 2 (and the deadline) act through the governor installed here,
-    // the only budget the planner's pipeline observes.
+    // The shrunken-budget rung (and the deadline) act through the governor
+    // installed here, the only budget the planner's pipeline observes.
     const ScopedGovernor governed(limits);
     response.result = planner_->Plan(request.request.query, model, trace);
     response.attempts = 1;
@@ -449,11 +436,11 @@ void PlanningService::Serve(Request& request) {
   if (span) {
     span->AddAttribute("status", ServiceStatusName(response.status));
     span->AddAttribute("plan_status", PlanStatusName(response.result.status));
-    // Flush before fulfilling the promise: once the future is ready the
-    // caller may tear the sink down.
+    // Flush before completing: once the caller is told, it may tear the
+    // sink down.
     span.reset();
   }
-  Fulfill(request, std::move(response));
+  request.done(std::move(response));
 }
 
 void PlanningService::Shutdown(DrainMode mode) {

@@ -43,7 +43,8 @@ namespace vbr {
 //    exactly once per admitted request,
 //  * a multi-level circuit breaker (common/circuit_breaker.h) that walks a
 //    brown-out ladder under sustained failure: full planning -> shed
-//    tracing -> shrunken budgets -> cached-or-M1-only -> reject, and
+//    tracing -> shrunken budgets -> cached-or-M1-only -> reject (the
+//    ServiceLevel rungs below), and
 //  * graceful drain on shutdown: every admitted request reaches a terminal
 //    status; nothing is lost or completed twice.
 //
@@ -94,6 +95,26 @@ class PlanningService {
     kShuttingDown,
   };
 
+  // The brown-out ladder, one rung per circuit-breaker level. Each rung
+  // keeps the degradations of the rungs below it.
+  enum ServiceLevel : uint32_t {
+    // Full planning.
+    kLevelFull = 0,
+    // Trace spans are shed (PlanRequest::trace is ignored).
+    kLevelShedTracing = 1,
+    // The governor's work limit is tightened to a shrunken budget.
+    kLevelShrunkenBudget = 2,
+    // Plan-cache hits are answered without any rewriting search; cold
+    // requests are demoted to M1, the instance-independent model with the
+    // cheapest costing loop.
+    kLevelCachedOrM1 = 3,
+    // Admission rejects every request but the breaker's half-open probes,
+    // which are served at kLevelCachedOrM1.
+    kLevelReject = 4,
+  };
+  static_assert(kLevelReject == CircuitBreaker::kRejectLevel,
+                "one breaker level per brown-out rung");
+
   static const char* ServiceStatusName(ServiceStatus status);
   static const char* RejectReasonName(RejectReason reason);
 
@@ -107,7 +128,7 @@ class PlanningService {
     // client can narrow but never widen what the operator configured.
     PlanRequestOptions options;
     // Optional trace sink for this request's span tree. Shed (ignored) at
-    // brown-out level >= 1.
+    // kLevelShedTracing and above.
     TraceSink* trace = nullptr;
   };
 
@@ -119,7 +140,8 @@ class PlanningService {
     // 1 when the request reached ViewPlanner::Plan; 0 when it was
     // rejected, shed, or answered by the cached-or-M1-only rung's cache.
     uint32_t attempts = 0;
-    // Brown-out level the request was served at (0 = full service).
+    // Brown-out rung the request was served at (a ServiceLevel below
+    // kLevelReject).
     uint32_t service_level = 0;
     // True when the cached-or-M1-only rung answered from the plan cache
     // without any rewriting search.
@@ -152,17 +174,12 @@ class PlanningService {
     // times (the check is skipped until one completes); > 0 pins the
     // estimate, which tests use for deterministic admission decisions.
     double assumed_service_ms = 0;
-    // Brown-out ladder breaker.
-    CircuitBreakerOptions breaker;
     // Service-wide budget CAP installed (as a ResourceGovernor) around
     // planner calls; unlimited by default. Each request's own
     // PlanRequestOptions budget merges into this stricter-wins, and a
     // request deadline additionally tightens deadline_ms to the time the
     // request has left at dequeue.
     ResourceLimits budget;
-    // The SHRUNKEN budget applied at brown-out level >= 2: each limit is
-    // the stricter of `budget` and this (0 fields inherit `budget`).
-    ResourceLimits brownout_budget = ShrunkenDefault();
     // When set, every submission (admitted or not) appends one VBIN
     // request record — query + its own PlanRequestOptions, pre-merge — to
     // this log (planner/snapshot.h), giving a replayable trace of the
@@ -170,13 +187,6 @@ class PlanningService {
     // and never fail the request path. Wire traffic is covered too: the
     // PlanServer submits through this service.
     std::shared_ptr<RequestLogWriter> request_log;
-
-   private:
-    static ResourceLimits ShrunkenDefault() {
-      ResourceLimits limits;
-      limits.work_limit = 50'000;
-      return limits;
-    }
   };
 
   // Cumulative service counters (monotone; snapshot under one lock, so the
@@ -223,19 +233,18 @@ class PlanningService {
   PlanningService(const PlanningService&) = delete;
   PlanningService& operator=(const PlanningService&) = delete;
 
-  // Submits one request. The returned future becomes ready exactly once,
-  // with a terminal PlanResponse — rejections resolve it immediately.
-  // Thread-safe.
-  std::future<PlanResponse> Submit(PlanRequest request);
-
-  // Callback-style submission for event-loop callers (the network server):
-  // `done` is invoked exactly once with the terminal PlanResponse, from a
-  // worker thread — or from the CALLING thread when the request is
-  // rejected at admission. The callback must not block and must be safe to
-  // run after the caller has moved on (capture shared state by
-  // shared_ptr). Thread-safe.
+  // Submits one request: `done` is invoked exactly once with the terminal
+  // PlanResponse, from a worker thread — or from the CALLING thread when
+  // the request is rejected at admission. The callback must not block and
+  // must be safe to run after the caller has moved on (capture shared
+  // state by shared_ptr). Thread-safe.
   void SubmitWithCallback(PlanRequest request,
                           std::function<void(PlanResponse)> done);
+
+  // Future-style SubmitWithCallback: the returned future becomes ready
+  // exactly once, with the terminal PlanResponse — rejections resolve it
+  // immediately. Thread-safe.
+  std::future<PlanResponse> Submit(PlanRequest request);
 
   // Blocking convenience: Submit + wait.
   PlanResponse Plan(PlanRequest request);
@@ -257,32 +266,24 @@ class PlanningService {
  private:
   struct Request {
     PlanRequest request;
-    // Exactly one of the two completion channels is armed: `promise` for
-    // Submit(), `callback` for SubmitWithCallback().
-    std::promise<PlanResponse> promise;
-    std::function<void(PlanResponse)> callback;
+    // The completion channel, invoked exactly once.
+    std::function<void(PlanResponse)> done;
     Timer queued;       // started at admission
     bool probe = false; // admitted as a half-open breaker probe
   };
 
-  // Shared admission path behind Submit / SubmitWithCallback.
-  std::future<PlanResponse> SubmitInternal(
-      PlanRequest request, std::function<void(PlanResponse)> done);
-  // Resolves the request's completion channel (promise or callback).
-  static void Fulfill(Request& request, PlanResponse response);
-
   void WorkerLoop();
-  // Plans one admitted request end to end (ladder, budget) and fulfils its
-  // promise. Called on a worker thread.
+  // Plans one admitted request end to end (ladder, budget) and completes
+  // it. Called on a worker thread.
   void Serve(Request& request);
   // Resolves `request` as kShed with `why`, updating accounting.
   void Shed(Request& request, const std::string& why, bool record_failure);
-  // The effective brown-out rung for a request about to be planned.
-  uint32_t EffectiveLevel() const;
+  // The brown-out rung for a request about to be planned.
+  ServiceLevel EffectiveLevel() const;
   // The governor limits for planning at `level`: the service-wide cap
   // tightened by the request's own budget (stricter-wins) and, when the
   // request has a deadline, by the `remaining_ms` it has left (0 = none).
-  ResourceLimits PlanLimits(uint32_t level, double remaining_ms,
+  ResourceLimits PlanLimits(ServiceLevel level, double remaining_ms,
                             const PlanRequestOptions& request) const;
 
   const ViewPlanner* const planner_;

@@ -21,6 +21,14 @@ namespace {
 using net::DecodeStatus;
 using net::WireStatus;
 
+// A binary frame's payload is capped at net::kDefaultMaxPayload (1 MiB),
+// the limit every client in the tree decodes with; an HTTP request (head
+// plus body) at the same size.
+constexpr size_t kMaxHttpRequestBytes = size_t{1} << 20;
+// Bounded query-handle map (fingerprint -> parsed query); once full, new
+// texts still plan but are no longer issued handles clients can reuse.
+constexpr size_t kHandleCapacity = 65536;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -566,7 +574,7 @@ bool PlanServer::ProcessBinary(Connection& conn) {
     size_t consumed = 0;
     const DecodeStatus es =
         net::ExtractFrame(std::string_view(conn.in).substr(pos),
-                          options_.max_frame_payload, &payload, &consumed);
+                          net::kDefaultMaxPayload, &payload, &consumed);
     if (es == DecodeStatus::kNeedMore) break;
     if (es != DecodeStatus::kOk) {
       // Oversized length prefix: the stream cannot be resynchronized.
@@ -636,7 +644,7 @@ void PlanServer::SubmitWireRequest(Connection& conn,
         handle_collisions_.fetch_add(1, std::memory_order_relaxed);
         handle = 0;
       }
-    } else if (handles_.size() < options_.handle_capacity) {
+    } else if (handles_.size() < kHandleCapacity) {
       handles_.emplace(handle, HandleEntry{frame.query_text, query});
     } else {
       handle = 0;  // map full: plan anyway, but the handle is not reusable
@@ -683,7 +691,7 @@ bool PlanServer::ProcessHttp(Connection& conn) {
     net::HttpRequest request;
     size_t consumed = 0;
     const net::HttpParseStatus ps = net::ParseHttpRequest(
-        conn.in, options_.max_http_request_bytes, &request, &consumed);
+        conn.in, kMaxHttpRequestBytes, &request, &consumed);
     if (ps == net::HttpParseStatus::kNeedMore) return progressed;
     if (ps == net::HttpParseStatus::kTooLarge) {
       QueueHttpResponse(conn, 413, JsonError("request too large"),

@@ -20,6 +20,10 @@
 //   - ONE debug thread serves GET /explain (ViewPlanner::Explain is
 //     deliberately expensive), under the service's budget cap;
 //     /metricz, /statz, and /healthz are answered inline on the IO thread.
+//   - Input limits are fixed (plan_server.cc): a binary frame payload over
+//     net::kDefaultMaxPayload (1 MiB) drops the connection, an HTTP request
+//     over 1 MiB is answered 413, and at most 65536 query texts are issued
+//     reusable handles.
 //
 // The server does not own the service or the planner; both must outlive
 // it.  Stop() closes the listeners and connections and joins the threads
@@ -58,11 +62,6 @@ struct PlanServerOptions {
   // a connection closes); true accepts and immediately closes, which the
   // client observes as rejection (counted in rejected_connections).
   bool reject_over_capacity = false;
-  uint32_t max_frame_payload = net::kDefaultMaxPayload;
-  size_t max_http_request_bytes = 1 << 20;
-  // Bounded query-handle map (fingerprint -> parsed query); once full, new
-  // texts still plan but are no longer issued handles clients can reuse.
-  size_t handle_capacity = 65536;
 
   // Connection hygiene deadlines, enforced from the poll loop each tick
   // (~200ms granularity).  0 disables the corresponding eviction.
@@ -239,9 +238,10 @@ class PlanServer {
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_by_id_;
   uint64_t next_conn_id_ = 1;
 
-  // Query-handle map: fingerprint -> parsed query, IO thread only.  The
-  // exact text is kept so a 64-bit fingerprint collision is detected on
-  // insert instead of silently serving the first query to both clients.
+  // Query-handle map: fingerprint -> parsed query, IO thread only, capped
+  // at kHandleCapacity entries (plan_server.cc).  The exact text is kept so
+  // a 64-bit fingerprint collision is detected on insert instead of
+  // silently serving the first query to both clients.
   struct HandleEntry {
     std::string text;
     ConjunctiveQuery query;

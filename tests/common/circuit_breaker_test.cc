@@ -8,20 +8,28 @@
 namespace vbr {
 namespace {
 
-CircuitBreakerOptions SmallOptions() {
-  CircuitBreakerOptions options;
-  options.window = 8;
-  options.min_samples = 4;
-  options.trip_threshold = 0.5;
-  options.clear_threshold = 0.1;
-  options.cooldown = 4;
-  options.num_levels = 3;
-  options.probe_interval = 3;
-  return options;
+constexpr size_t kWindow = CircuitBreaker::kWindow;
+constexpr size_t kMinSamples = CircuitBreaker::kMinSamples;
+constexpr uint32_t kRejectLevel = CircuitBreaker::kRejectLevel;
+constexpr size_t kProbeInterval = CircuitBreaker::kProbeInterval;
+
+void RecordFailures(CircuitBreaker& breaker, size_t n) {
+  for (size_t i = 0; i < n; ++i) breaker.RecordFailure();
+}
+
+void RecordSuccesses(CircuitBreaker& breaker, size_t n) {
+  for (size_t i = 0; i < n; ++i) breaker.RecordSuccess();
+}
+
+// Drives a fresh breaker to the reject level: kMinSamples failures per
+// rung, kMinSamples * kRejectLevel in all.
+void WalkToReject(CircuitBreaker& breaker) {
+  RecordFailures(breaker, kMinSamples * kRejectLevel);
+  ASSERT_EQ(breaker.level(), kRejectLevel);
 }
 
 TEST(CircuitBreakerTest, StartsHealthyAndAdmits) {
-  CircuitBreaker breaker(SmallOptions());
+  CircuitBreaker breaker;
   EXPECT_EQ(breaker.level(), 0u);
   EXPECT_EQ(breaker.Admit(), CircuitBreaker::Admission::kAdmit);
   EXPECT_EQ(breaker.trips(), 0u);
@@ -29,37 +37,37 @@ TEST(CircuitBreakerTest, StartsHealthyAndAdmits) {
 }
 
 TEST(CircuitBreakerTest, SustainedFailureWalksTheLadderUp) {
-  CircuitBreaker breaker(SmallOptions());
-  // min_samples = cooldown = 4: four failures trip one level, and the
-  // window resets, so each further rung takes four more.
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure();
+  CircuitBreaker breaker;
+  // kMinSamples failures trip one level, and the window resets, so each
+  // further rung takes kMinSamples more.
+  RecordFailures(breaker, kMinSamples);
   EXPECT_EQ(breaker.level(), 1u);
   EXPECT_EQ(breaker.trips(), 1u);
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure();
-  EXPECT_EQ(breaker.level(), 2u);  // reject level for num_levels = 3
-  EXPECT_EQ(breaker.trips(), 2u);
+  RecordFailures(breaker, kMinSamples * (kRejectLevel - 1));
+  EXPECT_EQ(breaker.level(), kRejectLevel);
+  EXPECT_EQ(breaker.trips(), kRejectLevel);
   // Already at the top: more failures do not overshoot.
-  for (int i = 0; i < 8; ++i) breaker.RecordFailure();
-  EXPECT_EQ(breaker.level(), 2u);
-  EXPECT_EQ(breaker.trips(), 2u);
+  RecordFailures(breaker, 2 * kWindow);
+  EXPECT_EQ(breaker.level(), kRejectLevel);
+  EXPECT_EQ(breaker.trips(), kRejectLevel);
 }
 
 TEST(CircuitBreakerTest, SustainedSuccessWalksBackDown) {
-  CircuitBreaker breaker(SmallOptions());
-  for (int i = 0; i < 8; ++i) breaker.RecordFailure();
-  ASSERT_EQ(breaker.level(), 2u);
-  for (int i = 0; i < 4; ++i) breaker.RecordSuccess();
-  EXPECT_EQ(breaker.level(), 1u);
+  CircuitBreaker breaker;
+  WalkToReject(breaker);
+  RecordSuccesses(breaker, kMinSamples);
+  EXPECT_EQ(breaker.level(), kRejectLevel - 1);
   EXPECT_EQ(breaker.recoveries(), 1u);
-  for (int i = 0; i < 4; ++i) breaker.RecordSuccess();
+  RecordSuccesses(breaker, kMinSamples * (kRejectLevel - 1));
   EXPECT_EQ(breaker.level(), 0u);
-  EXPECT_EQ(breaker.recoveries(), 2u);
+  EXPECT_EQ(breaker.recoveries(), kRejectLevel);
 }
 
 TEST(CircuitBreakerTest, MixedTrafficBelowThresholdHoldsLevel) {
-  CircuitBreaker breaker(SmallOptions());
-  // 25% failures: above clear (10%), below trip (50%) — level holds.
-  for (int round = 0; round < 8; ++round) {
+  CircuitBreaker breaker;
+  // 25% failures: above clear (10%), below trip (50%) — level holds, over
+  // two full windows.
+  for (size_t round = 0; round < kWindow / 2; ++round) {
     breaker.RecordFailure();
     breaker.RecordSuccess();
     breaker.RecordSuccess();
@@ -70,15 +78,16 @@ TEST(CircuitBreakerTest, MixedTrafficBelowThresholdHoldsLevel) {
 }
 
 TEST(CircuitBreakerTest, RejectLevelProbesPeriodically) {
-  CircuitBreaker breaker(SmallOptions());
-  for (int i = 0; i < 8; ++i) breaker.RecordFailure();
-  ASSERT_EQ(breaker.level(), breaker.reject_level());
-  // probe_interval = 3: every third admission is a half-open probe.
+  CircuitBreaker breaker;
+  WalkToReject(breaker);
+  // Every kProbeInterval-th admission is a half-open probe.
   std::vector<CircuitBreaker::Admission> admissions;
-  for (int i = 0; i < 9; ++i) admissions.push_back(breaker.Admit());
+  for (size_t i = 0; i < 3 * kProbeInterval; ++i) {
+    admissions.push_back(breaker.Admit());
+  }
   int probes = 0;
   for (size_t i = 0; i < admissions.size(); ++i) {
-    if ((i + 1) % 3 == 0) {
+    if ((i + 1) % kProbeInterval == 0) {
       EXPECT_EQ(admissions[i], CircuitBreaker::Admission::kProbe) << i;
       ++probes;
     } else {
@@ -89,12 +98,13 @@ TEST(CircuitBreakerTest, RejectLevelProbesPeriodically) {
 }
 
 TEST(CircuitBreakerTest, ProbeSuccessesRecoverFromReject) {
-  CircuitBreaker breaker(SmallOptions());
-  for (int i = 0; i < 8; ++i) breaker.RecordFailure();
-  ASSERT_EQ(breaker.level(), breaker.reject_level());
-  // Simulate the service loop: probes get through and succeed.
-  int served = 0;
-  for (int i = 0; i < 64 && breaker.level() > 0; ++i) {
+  CircuitBreaker breaker;
+  WalkToReject(breaker);
+  // Simulate the service loop: probes get through and succeed. At the
+  // reject level only one admission in kProbeInterval is served.
+  size_t served = 0;
+  const size_t max_admissions = kProbeInterval * kMinSamples * kRejectLevel;
+  for (size_t i = 0; i < max_admissions && breaker.level() > 0; ++i) {
     if (breaker.Admit() != CircuitBreaker::Admission::kReject) {
       breaker.RecordSuccess();
       ++served;
@@ -102,42 +112,47 @@ TEST(CircuitBreakerTest, ProbeSuccessesRecoverFromReject) {
   }
   EXPECT_EQ(breaker.level(), 0u);
   // Recovery required genuine traffic, not rejections.
-  EXPECT_GE(served, 8);
-  EXPECT_EQ(breaker.recoveries(), 2u);
+  EXPECT_GE(served, kMinSamples * kRejectLevel);
+  EXPECT_EQ(breaker.recoveries(), kRejectLevel);
 }
 
 TEST(CircuitBreakerTest, CooldownPreventsSprintingTheLadder) {
-  CircuitBreakerOptions options = SmallOptions();
-  options.window = 8;
-  options.min_samples = 2;
-  options.cooldown = 6;
-  CircuitBreaker breaker(options);
-  // Two failures satisfy min_samples but not the cooldown; the breaker
-  // waits for six outcomes after construction (and after each move).
-  breaker.RecordFailure();
-  breaker.RecordFailure();
+  CircuitBreaker breaker;
+  // A failure rate of 1.0 does not move the level until the window holds
+  // kMinSamples outcomes, counted from construction...
+  RecordFailures(breaker, kMinSamples - 1);
   EXPECT_EQ(breaker.level(), 0u);
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure();
+  breaker.RecordFailure();
   EXPECT_EQ(breaker.level(), 1u);
   EXPECT_EQ(breaker.trips(), 1u);
+  // ...and from each move, which clears the window.
+  RecordFailures(breaker, kMinSamples - 1);
+  EXPECT_EQ(breaker.level(), 1u);
+  breaker.RecordFailure();
+  EXPECT_EQ(breaker.level(), 2u);
+  EXPECT_EQ(breaker.trips(), 2u);
 }
 
 TEST(CircuitBreakerTest, WindowEvictsOldOutcomes) {
-  CircuitBreakerOptions options = SmallOptions();
-  options.cooldown = 100;  // never move levels; observe the window only
-  CircuitBreaker breaker(options);
-  for (int i = 0; i < 8; ++i) breaker.RecordFailure();
+  CircuitBreaker breaker;
+  // At the reject level failures cannot move the breaker, so a full window
+  // of them is observable.
+  WalkToReject(breaker);
+  RecordFailures(breaker, kWindow);
   EXPECT_DOUBLE_EQ(breaker.failure_rate(), 1.0);
-  for (int i = 0; i < 8; ++i) breaker.RecordSuccess();
-  EXPECT_DOUBLE_EQ(breaker.failure_rate(), 0.0);
+  // Half a window of successes evicts the oldest half of the failures (a
+  // rate of 0.5 is above the clear threshold, so the level holds).
+  RecordSuccesses(breaker, kWindow / 2);
+  EXPECT_DOUBLE_EQ(breaker.failure_rate(), 0.5);
+  EXPECT_EQ(breaker.level(), kRejectLevel);
 }
 
 TEST(CircuitBreakerTest, DeterministicTrajectoryForAFixedSequence) {
   // The level trajectory is a pure function of the outcome sequence.
   auto run = [] {
-    CircuitBreaker breaker(SmallOptions());
+    CircuitBreaker breaker;
     std::vector<uint32_t> trajectory;
-    for (int i = 0; i < 40; ++i) {
+    for (size_t i = 0; i < 4 * kWindow; ++i) {
       if (i % 3 == 0) {
         breaker.RecordSuccess();
       } else {

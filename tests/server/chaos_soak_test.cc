@@ -47,7 +47,6 @@
 namespace vbr {
 namespace {
 
-using net::ChaosOptions;
 using net::ChaosSocket;
 using net::WireStatus;
 
@@ -136,7 +135,7 @@ TEST(ChaosSoakTest, HundredSeededSchedulesAccountExactly) {
 
   size_t total_lost = 0, total_received = 0;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
-    ChaosSocket::Enable(ChaosOptions::Soak(seed));
+    ChaosSocket::Enable(seed);
     net::LoadDriverOptions load;
     load.port = fx.server->binary_port();
     load.connections = 2;
@@ -158,7 +157,7 @@ TEST(ChaosSoakTest, HundredSeededSchedulesAccountExactly) {
     total_lost += report.lost;
     total_received += report.received;
   }
-  // The resilient client should be riding out nearly everything the Soak
+  // The resilient client should be riding out nearly everything the chaos
   // profile throws; a mostly-lost soak means retries are broken.
   EXPECT_GT(total_received, total_lost * 10);
   WaitForQuiescence(*fx.server);
@@ -192,7 +191,7 @@ TEST(ChaosSoakTest, SurvivingPlansAreByteIdenticalToReference) {
   size_t answered = 0;
   uint64_t next_id = 1;
   for (uint64_t seed = 201; seed <= 212; ++seed) {
-    ChaosSocket::Enable(ChaosOptions::Soak(seed));
+    ChaosSocket::Enable(seed);
     net::ResilientClientOptions copts;
     copts.port = fx.server->binary_port();
     copts.backoff_seed = seed;
@@ -231,7 +230,7 @@ TEST(ChaosSoakTest, SoakLeaksNoFileDescriptors) {
   ChaosGuard guard;
 
   auto run_one = [&](uint64_t seed) {
-    ChaosSocket::Enable(ChaosOptions::Soak(seed));
+    ChaosSocket::Enable(seed);
     net::LoadDriverOptions load;
     load.port = fx.server->binary_port();
     load.connections = 2;

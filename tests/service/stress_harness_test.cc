@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/budget.h"
+#include "common/circuit_breaker.h"
 #include "common/fault_injection.h"
 #include "common/trace.h"
 #include "cq/parser.h"
@@ -171,21 +172,21 @@ TEST_F(StressHarnessTest, InjectedFaultIsAnsweredOnceAndFeedsTheBreaker) {
 }
 
 TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
+  constexpr size_t kMinSamples = CircuitBreaker::kMinSamples;
+  constexpr size_t kProbeInterval = CircuitBreaker::kProbeInterval;
+  constexpr uint32_t kReject = PlanningService::kLevelReject;
   ServiceFixture fx(11);
-  PlanningService::Options options = SerialServiceOptions();
-  options.breaker.window = 4;
-  options.breaker.min_samples = 2;
-  options.breaker.cooldown = 2;
-  options.breaker.num_levels = 5;
-  options.breaker.probe_interval = 2;
-  PlanningService service(fx.planner.get(), options);
+  PlanningService service(fx.planner.get(), SerialServiceOptions());
 
   // Failure phase: every request's budget dies on an injected fault; the
-  // breaker walks 0 -> 1 -> 2 -> 3 -> 4 (reject), two outcomes per rung.
+  // breaker walks 0 -> 1 -> 2 -> 3 -> 4 (reject), kMinSamples outcomes per
+  // rung.
   std::vector<uint32_t> levels_seen;
   bool saw_demotion = false;
-  int failures = 0;
-  for (int i = 0; i < 64 && service.service_level() < 4; ++i) {
+  size_t failures = 0;
+  for (size_t i = 0; i < 4 * kMinSamples * kReject &&
+                     service.service_level() < kReject;
+       ++i) {
     FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
     const auto response = service.Plan(fx.workload.query, CostModel::kM2);
     ASSERT_EQ(response.status, ServiceStatus::kOk) << "i=" << i;
@@ -195,20 +196,23 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
     saw_demotion = saw_demotion || response.model_demoted;
     ++failures;
   }
-  EXPECT_EQ(service.service_level(), 4u);
-  EXPECT_EQ(failures, 8);  // min_samples=cooldown=2 per rung, 4 rungs
+  EXPECT_EQ(service.service_level(), kReject);
+  EXPECT_EQ(failures, kMinSamples * kReject);  // 16 per rung, 4 rungs
   // Each brown-out rung actually served requests on the way up.
-  EXPECT_EQ(levels_seen,
-            (std::vector<uint32_t>{0, 0, 1, 1, 2, 2, 3, 3}));
+  std::vector<uint32_t> expected_levels;
+  for (uint32_t level = 0; level < kReject; ++level) {
+    expected_levels.insert(expected_levels.end(), kMinSamples, level);
+  }
+  EXPECT_EQ(levels_seen, expected_levels);
   // Rung 3 is cached-or-M1-only; the exhausted requests cached nothing, so
   // the M2 requests planned there were demoted to M1.
   EXPECT_TRUE(saw_demotion);
 
   // Open phase: rejections with kOverloaded, except half-open probes
   // (which still fail while the fault persists, keeping the breaker open).
-  int rejected = 0;
-  int probe_failures = 0;
-  for (int i = 0; i < 8; ++i) {
+  size_t rejected = 0;
+  size_t probe_failures = 0;
+  for (size_t i = 0; i < 2 * kProbeInterval; ++i) {
     FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
     const auto response = service.Plan(fx.workload.query, CostModel::kM2);
     if (response.status == ServiceStatus::kRejected) {
@@ -221,15 +225,19 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
       ++probe_failures;
     }
   }
-  EXPECT_EQ(service.service_level(), 4u);
-  EXPECT_EQ(rejected, 4);        // probe_interval = 2: every other request
-  EXPECT_EQ(probe_failures, 4);
+  EXPECT_EQ(service.service_level(), kReject);
+  // A probe every kProbeInterval-th request: 14 rejected, 2 probes.
+  EXPECT_EQ(rejected, 2 * (kProbeInterval - 1));
+  EXPECT_EQ(probe_failures, 2u);
 
   // Recovery phase: the fault clears; probe successes walk the breaker all
-  // the way back down to full service.
+  // the way back down to full service. At the reject level only one
+  // request in kProbeInterval is served, so the cap is generous.
   FaultRegistry::Global().Reset();
-  int recovery_requests = 0;
-  for (int i = 0; i < 200 && service.service_level() > 0; ++i) {
+  size_t recovery_requests = 0;
+  for (size_t i = 0; i < kProbeInterval * CircuitBreaker::kWindow * kReject &&
+                     service.service_level() > 0;
+       ++i) {
     const auto response = service.Plan(fx.workload.query, CostModel::kM2);
     if (response.status != ServiceStatus::kRejected) {
       ASSERT_EQ(response.status, ServiceStatus::kOk);
@@ -238,15 +246,15 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
     }
   }
   EXPECT_EQ(service.service_level(), 0u);
-  EXPECT_GE(recovery_requests, 8);
+  EXPECT_GE(recovery_requests, kMinSamples * kReject);
 
   const auto stats = service.stats();
-  EXPECT_GE(stats.breaker_trips, 4u);
-  EXPECT_GE(stats.breaker_recoveries, 4u);
-  EXPECT_GE(stats.probes, 4u);
-  // The open phase rejected exactly 4 (asserted above); recovery rejects a
-  // few more before the probes close the breaker.
-  EXPECT_GE(stats.rejected_overload, 4u);
+  EXPECT_GE(stats.breaker_trips, kReject);
+  EXPECT_GE(stats.breaker_recoveries, kReject);
+  EXPECT_GE(stats.probes, probe_failures);
+  // The open phase rejected exactly 14 (asserted above); recovery rejects
+  // more before the probes close the breaker.
+  EXPECT_GE(stats.rejected_overload, rejected);
   EXPECT_GE(stats.model_demotions, 1u);
   ExpectInvariants(stats);
 
